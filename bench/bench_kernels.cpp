@@ -11,9 +11,9 @@
 // packed block widens: the per-column dependency chains are identical to
 // trsv_lower, the win is panel reuse + unit-stride SIMD across RHS.
 //
-// Section 3 — end-to-end blocked solve_batch. api::Solver (supernodal
-// path) and api::TriangularSolver (blocked path): nrhs looped solve()
-// calls vs one blocked solve_batch(), bit-identical results.
+// Section 3 — end-to-end blocked solve_batch. api::Solver (supernodal and
+// simplicial paths) and api::TriangularSolver (blocked path): nrhs looped
+// solve() calls vs one blocked solve_batch(), bit-identical results.
 //
 // Section 4 — level-set parallel trisolve (OpenMP builds). The retired
 // atomic wavefront (kept here, and only here, as the baseline — the
@@ -235,9 +235,10 @@ MultiRhsRow bench_trsm_multi(index_t n, index_t nrhs, double trsv_seconds,
 }
 
 BatchRow bench_solver_batch(const CscMatrix& a, const char* label,
-                            index_t nrhs, bool smoke) {
+                            index_t nrhs, bool smoke, bool simplicial = false) {
   api::SolverConfig config;
   config.enable_parallel = false;  // measure the blocked kernels themselves
+  config.options.vs_block = !simplicial;
   api::Solver solver(config, nullptr);
   solver.factor(a);
   const auto n = static_cast<std::size_t>(a.cols());
@@ -597,6 +598,13 @@ int main(int argc, char** argv) {
   const index_t g = smoke ? 60 : 110;
   const CscMatrix mesh = gen::grid2d_laplacian(g, g);
   batches.push_back(bench_solver_batch(mesh, "cholesky", 64, smoke));
+  // Narrow batches: one 4-wide packed block per sweep on both sequential
+  // paths (a naturally numbered strip keeps the simplicial factor banded).
+  batches.push_back(bench_solver_batch(mesh, "cholesky", 4, smoke));
+  const CscMatrix strip =
+      gen::grid2d_laplacian(30, smoke ? 300 : 1000, gen::GridOrder::Natural);
+  batches.push_back(bench_solver_batch(strip, "cholesky", 4, smoke,
+                                       /*simplicial=*/true));
   if (!smoke) {
     batches.push_back(bench_solver_batch(mesh, "cholesky", 16, smoke));
     const CscMatrix blocks = gen::block_structural(26, 26, 4, 7);

@@ -173,11 +173,12 @@ class Solver {
   void solve(std::span<value_t> bx) const;
 
   /// Multi-RHS solve: `bx` holds nrhs column-major dense right-hand sides
-  /// of length n; solutions overwrite them. On the supernodal paths the
-  /// batch is tiled into packed RHS blocks lowered onto the multi-RHS
-  /// panel kernels (trsm_lower_multi + gemm_minus_multi), bit-identical
-  /// per column to looped solve() calls and parallel over blocks under
-  /// OpenMP builds.
+  /// of length n; solutions overwrite them. On every path the batch is
+  /// tiled into packed RHS blocks, each swept once through the factor —
+  /// the multi-RHS panel kernels (trsm_lower_multi + gemm_minus_multi) on
+  /// the supernodal paths, the packed CSC sweeps on the simplicial one —
+  /// bit-identical per column to looped solve() calls and parallel over
+  /// blocks (or inside levels) under OpenMP builds.
   void solve_batch(std::span<value_t> bx, index_t nrhs) const;
 
   /// Convenience multi-RHS overload: gathers the scattered columns into

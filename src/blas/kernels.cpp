@@ -21,7 +21,6 @@ namespace {
 constexpr index_t kMr = 8;  ///< micro-tile rows (C / solution vectors)
 constexpr index_t kNr = 4;  ///< micro-tile cols (C) / unrolled chains
 constexpr index_t kDiagBlock = 8;  ///< potrf/trsv/trsm diagonal block size
-constexpr index_t kRhsVec = 8;     ///< multi-RHS register-vector width
 
 // ---------------------------------------------------------------------------
 // Unrolled compile-time-sized kernels ("Sympiler-generated" small kernels).
@@ -330,41 +329,50 @@ void gemv_trans_minus(index_t m, index_t n, const value_t* a, index_t lda,
 }
 
 // -------------------------------------------------------------- multi-RHS
+//
+// Narrow RHS chunks (the at most kRhsLanes for_rhs_chunks hands out) carry
+// too little independent work to hide the sub latency when their chain
+// runs along a panel, so their kernels keep chains short and many: the
+// triangular kernels hold each column's x_j lanes or accumulators in
+// registers, gemm_minus_multi streams panel columns in groups of kNr
+// (every row of Y an independent chain, as in gemv_minus), and
+// gemm_trans_minus_multi runs kNr columns' accumulators at once (as in
+// gemv_trans_minus). Full 32-wide chunks keep one Y row in registers
+// across the whole reduction. No variant reorders any (element, RHS)
+// sequence.
 
 void trsm_lower_multi(index_t n, index_t nrhs, const value_t* l, index_t lda,
                       value_t* x, index_t ldx) {
-  SYMPILER_CHECK(nrhs <= kRhsBlockMax, "trsm multi: RHS block too wide");
   for (index_t j = 0; j < n; ++j) {
     const value_t piv = l[j + j * lda];
     if (piv == 0.0) throw numerical_error("trsm_lower_multi: zero diagonal");
-    value_t* SYMPILER_RESTRICT xj = x + j * ldx;
-    for (index_t r = 0; r < nrhs; ++r) xj[r] /= piv;
     const value_t* col = l + j * lda;
-    for (index_t i = j + 1; i < n; ++i) {
-      const value_t lij = col[i];
-      value_t* SYMPILER_RESTRICT xi = x + i * ldx;
-      for (index_t r = 0; r < nrhs; ++r) xi[r] -= lij * xj[r];
-    }
+    for_rhs_chunks(nrhs, [&](auto width, index_t r0) {
+      constexpr int W = decltype(width)::value;
+      const rhs_lanes<W> v = *lanes_at<W>(x + j * ldx + r0) / piv;
+      *lanes_at<W>(x + j * ldx + r0) = v;
+      for (index_t i = j + 1; i < n; ++i)
+        *lanes_at<W>(x + i * ldx + r0) -= col[i] * v;
+    });
   }
 }
 
 void trsm_lower_transpose_multi(index_t n, index_t nrhs, const value_t* l,
                                 index_t lda, value_t* x, index_t ldx) {
-  SYMPILER_CHECK(nrhs <= kRhsBlockMax, "trsm^T multi: RHS block too wide");
-  value_t s[kRhsBlockMax];
   for (index_t j = n - 1; j >= 0; --j) {
     const value_t* col = l + j * lda;
-    value_t* SYMPILER_RESTRICT xj = x + j * ldx;
-    for (index_t r = 0; r < nrhs; ++r) s[r] = xj[r];
-    for (index_t i = j + 1; i < n; ++i) {
-      const value_t lij = col[i];
-      const value_t* SYMPILER_RESTRICT xi = x + i * ldx;
-      for (index_t r = 0; r < nrhs; ++r) s[r] -= lij * xi[r];
-    }
+    // trsv_lower_transpose tests the pivot after its accumulation, which
+    // writes nothing but locals: testing first leaves the same state.
     const value_t piv = col[j];
     if (piv == 0.0)
       throw numerical_error("trsm_lower_transpose_multi: zero diagonal");
-    for (index_t r = 0; r < nrhs; ++r) xj[r] = s[r] / piv;
+    for_rhs_chunks(nrhs, [&](auto width, index_t r0) {
+      constexpr int W = decltype(width)::value;
+      rhs_lanes<W> s = *lanes_at<W>(x + j * ldx + r0);
+      for (index_t i = j + 1; i < n; ++i)
+        s -= col[i] * *lanes_at<W>(x + i * ldx + r0);
+      *lanes_at<W>(x + j * ldx + r0) = s / piv;
+    });
   }
 }
 
@@ -392,6 +400,28 @@ void gemm_minus_multi_chunk(index_t m, index_t n, const value_t* a,
   }
 }
 
+// The same update streaming A by columns for a narrow chunk: NC <= kNr
+// columns share one pass over Y with their X lanes in registers; per
+// (i, r) the terms still apply in ascending j.
+template <int W, int NC>
+void gemm_minus_multi_cols(index_t m, const value_t* a, index_t lda,
+                           const value_t* x, index_t ldx, value_t* y,
+                           index_t ldy) {
+  using V = rhs_lanes<W>;
+  const value_t* SYMPILER_RESTRICT c[NC];
+  V xv[NC];
+  for (int q = 0; q < NC; ++q) {
+    c[q] = a + q * lda;
+    xv[q] = *lanes_at<W>(x + q * ldx);
+  }
+  for (index_t i = 0; i < m; ++i) {
+    V* yi = lanes_at<W>(y + i * ldy);
+    V t = *yi;
+    for (int q = 0; q < NC; ++q) t -= c[q][i] * xv[q];
+    *yi = t;
+  }
+}
+
 // Y(j, r0..r0+RV) -= sum_i A(i,j) X(i, r0..r0+RV): per (j, r) an
 // accumulator over ascending i then one subtraction, matching
 // gemv_trans_minus on that RHS column.
@@ -414,21 +444,57 @@ void gemm_trans_minus_multi_chunk(index_t m, index_t n, const value_t* a,
   }
 }
 
+// The same reduction for a narrow chunk, NC <= kNr columns at a time: NC
+// independent accumulator chains per lane, each X row loaded once per
+// group.
+template <int W, int NC>
+void gemm_trans_minus_multi_cols(index_t m, const value_t* a, index_t lda,
+                                 const value_t* x, index_t ldx, value_t* y,
+                                 index_t ldy) {
+  using V = rhs_lanes<W>;
+  const value_t* SYMPILER_RESTRICT c[NC];
+  V s[NC];
+  for (int q = 0; q < NC; ++q) {
+    c[q] = a + q * lda;
+    s[q] = V{};
+  }
+  for (index_t i = 0; i < m; ++i) {
+    const V xi = *lanes_at<W>(x + i * ldx);
+    for (int q = 0; q < NC; ++q) s[q] += c[q][i] * xi;
+  }
+  for (int q = 0; q < NC; ++q) *lanes_at<W>(y + q * ldy) -= s[q];
+}
+
+// Sweep the n panel columns in groups of kNr, then one group of the
+// remaining 1-3: kernel<W, NC>(a + j * lda, x row j, y row j).
+template <class Group>
+void for_column_groups(index_t n, Group&& group) {
+  index_t j = 0;
+  for (; j + kNr <= n; j += kNr) group(std::integral_constant<int, kNr>{}, j);
+  switch (n - j) {
+    case 3: return group(std::integral_constant<int, 3>{}, j);
+    case 2: return group(std::integral_constant<int, 2>{}, j);
+    case 1: return group(std::integral_constant<int, 1>{}, j);
+    default: return;
+  }
+}
+
 }  // namespace
 
 void gemm_minus_multi(index_t m, index_t n, index_t nrhs, const value_t* a,
                       index_t lda, const value_t* x, index_t ldx, value_t* y,
                       index_t ldy) {
-  // Widest chunk first: at the full packed-block width the strided panel
-  // column is swept once per row instead of once per 8-RHS subchunk.
   index_t r0 = 0;
   for (; r0 + kRhsBlockMax <= nrhs; r0 += kRhsBlockMax)
     gemm_minus_multi_chunk<kRhsBlockMax>(m, n, a, lda, x + r0, ldx, y + r0,
                                          ldy);
-  for (; r0 + kRhsVec <= nrhs; r0 += kRhsVec)
-    gemm_minus_multi_chunk<kRhsVec>(m, n, a, lda, x + r0, ldx, y + r0, ldy);
-  for (; r0 < nrhs; ++r0)
-    gemm_minus_multi_chunk<1>(m, n, a, lda, x + r0, ldx, y + r0, ldy);
+  for_rhs_chunks(nrhs - r0, [&](auto width, index_t r) {
+    constexpr int W = decltype(width)::value;
+    for_column_groups(n, [&](auto group, index_t j) {
+      gemm_minus_multi_cols<W, decltype(group)::value>(
+          m, a + j * lda, lda, x + j * ldx + r0 + r, ldx, y + r0 + r, ldy);
+    });
+  });
 }
 
 void gemm_trans_minus_multi(index_t m, index_t n, index_t nrhs,
@@ -438,11 +504,13 @@ void gemm_trans_minus_multi(index_t m, index_t n, index_t nrhs,
   for (; r0 + kRhsBlockMax <= nrhs; r0 += kRhsBlockMax)
     gemm_trans_minus_multi_chunk<kRhsBlockMax>(m, n, a, lda, x + r0, ldx,
                                                y + r0, ldy);
-  for (; r0 + kRhsVec <= nrhs; r0 += kRhsVec)
-    gemm_trans_minus_multi_chunk<kRhsVec>(m, n, a, lda, x + r0, ldx, y + r0,
-                                          ldy);
-  for (; r0 < nrhs; ++r0)
-    gemm_trans_minus_multi_chunk<1>(m, n, a, lda, x + r0, ldx, y + r0, ldy);
+  for_rhs_chunks(nrhs - r0, [&](auto width, index_t r) {
+    constexpr int W = decltype(width)::value;
+    for_column_groups(n, [&](auto group, index_t j) {
+      gemm_trans_minus_multi_cols<W, decltype(group)::value>(
+          m, a + j * lda, lda, x + r0 + r, ldx, y + j * ldy + r0 + r, ldy);
+    });
+  });
 }
 
 void pack_rhs(index_t n, index_t nrhs, const value_t* x, index_t col_stride,

@@ -31,6 +31,8 @@
 // All matrices are column-major. `lda` is the leading dimension.
 #pragma once
 
+#include <type_traits>
+
 #include "util/common.h"
 
 namespace sympiler::blas {
@@ -38,9 +40,9 @@ namespace sympiler::blas {
 /// Largest dimension handled by the unrolled specializations.
 inline constexpr index_t kSmallKernelMax = 8;
 
-/// Largest RHS block width the multi-RHS kernels accept per call (callers
-/// tile wider batches). Bounds the stack footprint of their accumulators
-/// and sizes the plan-time RHS workspaces.
+/// Width of the multi-RHS kernels' widest register-row chunk and of the
+/// largest packed block solve_batch tiles (sizes the plan-time RHS
+/// workspaces).
 inline constexpr index_t kRhsBlockMax = 32;
 
 // ---------------------------------------------------------------- potrf
@@ -140,9 +142,10 @@ void gemv_trans_minus_ref(index_t m, index_t n, const value_t* a, index_t lda,
 
 // ------------------------------------------------------------- multi-RHS
 //
-// X is an RHS-major packed block: X(i, r) at x[r + i * ldx], nrhs <=
-// kRhsBlockMax, ldx >= nrhs. pack_rhs/unpack_rhs convert between this and
-// the public column-major dense batch layout.
+// X is an RHS-major packed block: X(i, r) at x[r + i * ldx], ldx >= nrhs
+// (solve_batch packs at most kRhsBlockMax columns per block).
+// pack_rhs/unpack_rhs convert between this and the public column-major
+// dense batch layout.
 
 /// Forward solve L X = B in place over a packed RHS block. Per RHS column,
 /// bit-identical to trsv_lower on that column.
@@ -165,6 +168,86 @@ void gemm_minus_multi(index_t m, index_t n, index_t nrhs, const value_t* a,
 void gemm_trans_minus_multi(index_t m, index_t n, index_t nrhs,
                             const value_t* a, index_t lda, const value_t* x,
                             index_t ldx, value_t* y, index_t ldy);
+
+/// Widest RHS chunk one vector register of the including translation
+/// unit's target holds, so a chunk never outgrows the registers (wider
+/// vector values would be lowered through the stack). Internal linkage on
+/// purpose, here and in for_rhs_chunks: TUs built for different vector
+/// ISAs (see SYMPILER_KERNEL_ISA) each see their own value.
+#if defined(__AVX512F__)
+static constexpr int kRhsLanes = 8;
+#elif defined(__AVX__)
+static constexpr int kRhsLanes = 4;
+#else
+static constexpr int kRhsLanes = 2;
+#endif
+
+/// Visit [0, nrhs) in RHS register chunks: fn(std::integral_constant<int,
+/// W>{}, r0) for W = kRhsLanes while that many remain, then at most one
+/// each of the smaller powers of two. The multi-RHS kernels (and the
+/// packed CSC sweeps in solvers/trisolve) instantiate their lane bodies at
+/// these compile-time widths.
+template <class Fn>
+static void for_rhs_chunks(index_t nrhs, Fn&& fn) {
+  constexpr int MaxW = kRhsLanes;
+  index_t r0 = 0;
+  for (; r0 + MaxW <= nrhs; r0 += MaxW)
+    fn(std::integral_constant<int, MaxW>{}, r0);
+  if constexpr (MaxW > 4) {  // never instantiate a chunk wider than MaxW
+    if (r0 + 4 <= nrhs) {
+      fn(std::integral_constant<int, 4>{}, r0);
+      r0 += 4;
+    }
+  }
+  if (r0 + 2 <= nrhs) {
+    fn(std::integral_constant<int, 2>{}, r0);
+    r0 += 2;
+  }
+  if (r0 < nrhs) fn(std::integral_constant<int, 1>{}, r0);
+}
+
+namespace detail {
+// aligned(8): packed rows are only value_t-aligned.
+static_assert(alignof(value_t) == 8);
+template <int W>
+struct RhsLanes;
+template <>
+struct RhsLanes<1> {
+  using type = value_t;
+};
+template <>
+struct RhsLanes<2> {
+  typedef value_t type __attribute__((vector_size(16), aligned(8), may_alias));
+};
+template <>
+struct RhsLanes<4> {
+  typedef value_t type __attribute__((vector_size(32), aligned(8), may_alias));
+};
+template <>
+struct RhsLanes<8> {
+  typedef value_t type __attribute__((vector_size(64), aligned(8), may_alias));
+};
+}  // namespace detail
+
+/// W consecutive RHS lanes of one packed row as a single GCC/Clang vector
+/// value (plain value_t for W = 1). Vector arithmetic is the scalar IEEE
+/// operation lane by lane (uncontracted under -ffp-contract=off), so each
+/// lane keeps its exact per-element sequence; spelling the lanes as one
+/// value pins the SIMD direction to the RHS, where the auto-vectorizer
+/// would otherwise vectorize across strided rows or leave narrow lanes
+/// scalar.
+template <int W>
+using rhs_lanes = typename detail::RhsLanes<W>::type;
+
+/// The lanes starting at `p` (any value_t alignment).
+template <int W>
+rhs_lanes<W>* lanes_at(value_t* p) {
+  return reinterpret_cast<rhs_lanes<W>*>(p);
+}
+template <int W>
+const rhs_lanes<W>* lanes_at(const value_t* p) {
+  return reinterpret_cast<const rhs_lanes<W>*>(p);
+}
 
 /// Pack nrhs column-major dense RHS columns (column stride `col_stride`)
 /// into an RHS-major block with row stride ldp.

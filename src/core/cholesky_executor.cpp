@@ -244,18 +244,11 @@ void CholeskyExecutor::solve_batch(std::span<value_t> bx, index_t nrhs) const {
   const auto n = static_cast<std::size_t>(sets_->sym.parent.size());
   SYMPILER_CHECK(bx.size() == n * static_cast<std::size_t>(nrhs),
                  "solve_batch: batch size mismatch");
-  if (vs_block_applied()) {
-    blocked_panel_solve_batch(sets_->layout, panels_, plan_->workspace, bx,
-                              nrhs);
-  } else {
-    // Simplicial solves read only the immutable factor (no workspace), so
-    // the independent RHS columns parallelize directly.
-#ifdef SYMPILER_HAS_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (index_t r = 0; r < nrhs; ++r)
-      solve(bx.subspan(static_cast<std::size_t>(r) * n, n));
-  }
+  if (vs_block_applied())
+    packed_solve_batch(BatchFactor(sets_->layout, panels_), plan_->workspace,
+                       bx, nrhs);
+  else
+    packed_solve_batch(BatchFactor(l_), plan_->workspace, bx, nrhs);
 }
 
 CscMatrix CholeskyExecutor::factor_csc() const {

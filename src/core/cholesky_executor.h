@@ -54,10 +54,11 @@ class CholeskyExecutor {
   void solve(std::span<value_t> bx) const;
 
   /// Blocked multi-RHS solve: `bx` holds nrhs column-major dense RHS of
-  /// length n, overwritten by the solutions. On the supernodal path the
-  /// batch is tiled into packed RHS blocks driven through the multi-RHS
-  /// panel kernels (bit-identical per column to looped solve() calls, and
-  /// parallel over blocks under OpenMP); the simplicial path loops.
+  /// length n, overwritten by the solutions. On both paths the batch is
+  /// tiled into packed RHS blocks (core::packed_solve_batch), each swept
+  /// once through the factor — the multi-RHS panel kernels, or the packed
+  /// CSC sweeps on the simplicial path — bit-identical per column to
+  /// looped solve() calls, and parallel over blocks under OpenMP.
   void solve_batch(std::span<value_t> bx, index_t nrhs) const;
 
   /// Extract L as CSC (for inspection and the triangular-solve pipeline).

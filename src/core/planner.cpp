@@ -196,7 +196,8 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
   if (!plan.sets.vs_block_profitable) {
     plan.path = ExecutionPath::Simplicial;
     // Simplicial scratch: the dense accumulation column + per-row cursor
-    // map only. No packed RHS blocks — the simplicial batch loops solve().
+    // map only. rhs_block 0 = the default width: packed_solve_batch sizes
+    // its packed blocks per call in per-thread workspaces, not in the plan.
     plan.workspace.n = a_lower.cols();
     plan.workspace.rhs_block = 0;
   } else {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "solvers/trisolve.h"
+
 #ifdef SYMPILER_HAS_OPENMP
 #include <omp.h>
 #endif
@@ -13,11 +15,12 @@ index_t rhs_block_width(index_t plan_block, index_t nrhs,
   index_t bw = std::min<index_t>(plan_block > 0 ? plan_block : kRhsBlockWidth,
                                  blas::kRhsBlockMax);
   // Narrow the blocks when a full-width tiling would leave parallel lanes
-  // idle (e.g. 64 RHS on 8 lanes: 8 blocks of 8 beat 2 blocks of 32);
-  // below 8 columns the packed kernels stop paying for the pack traffic.
+  // idle (e.g. 64 RHS on 8 lanes: 8 blocks of 8 beat 2 blocks of 32; 4 RHS
+  // on 4 lanes: four 1-wide blocks). Each block streams the factor once,
+  // but on a lane that would otherwise wait.
   if (parallel_lanes > 1 && nrhs > 0) {
     const index_t per_lane = (nrhs + parallel_lanes - 1) / parallel_lanes;
-    bw = std::max<index_t>(std::min(bw, per_lane), std::min<index_t>(8, bw));
+    bw = std::min(bw, per_lane);
   }
   return bw;
 }
@@ -33,12 +36,23 @@ WorkspaceDims cholesky_workspace_dims(const solvers::SupernodalLayout& layout) {
   return dims;
 }
 
-void blocked_panel_solve_batch(const solvers::SupernodalLayout& layout,
-                               std::span<const value_t> panels,
-                               const WorkspaceDims& dims,
-                               std::span<value_t> bx, index_t nrhs) {
+void BatchFactor::solve_block(value_t* xp, index_t nrhs,
+                              value_t* tail) const {
+  if (csc_ != nullptr) {
+    solvers::trisolve_naive_multi(*csc_, xp, nrhs, nrhs);
+    solvers::trisolve_transpose_multi(*csc_, xp, nrhs, nrhs);
+  } else {
+    solvers::panel_forward_solve_multi(*layout_, panels_, xp, nrhs, nrhs,
+                                       tail);
+    solvers::panel_backward_solve_multi(*layout_, panels_, xp, nrhs, nrhs,
+                                        tail);
+  }
+}
+
+void packed_solve_batch(const BatchFactor& factor, const WorkspaceDims& dims,
+                        std::span<value_t> bx, index_t nrhs) {
   if (nrhs <= 0) return;
-  const index_t n = layout.n;
+  const index_t n = factor.n();
 #ifdef SYMPILER_HAS_OPENMP
   const index_t lanes = static_cast<index_t>(omp_get_max_threads());
 #else
@@ -72,10 +86,7 @@ void blocked_panel_solve_batch(const solvers::SupernodalLayout& layout,
     value_t* xp = ws.rhs_block();
     value_t* bx0 = bx.data() + static_cast<std::size_t>(r0) * n;
     blas::pack_rhs(n, nb, bx0, n, xp, nb);
-    solvers::panel_forward_solve_multi(layout, panels, xp, nb, nb,
-                                       ws.tail().data());
-    solvers::panel_backward_solve_multi(layout, panels, xp, nb, nb,
-                                        ws.tail().data());
+    factor.solve_block(xp, nb, ws.tail().data());
     blas::unpack_rhs(n, nb, xp, nb, bx0, n);
   }
 }

@@ -41,10 +41,9 @@ inline constexpr index_t kRhsBlockWidth = blas::kRhsBlockMax;
 /// tiled into. `plan_block` is the plan's rhs_block (0 means "use the
 /// default width"); `parallel_lanes` is the number of workers that take
 /// whole blocks concurrently — pass omp_get_max_threads() when blocks run
-/// in a parallel-for (narrow blocks keep every lane busy, but never below
-/// 8 columns, where packing stops paying), and 1 when blocks are swept
-/// sequentially (level-set batch paths, the sequential executor). The one
-/// narrowing rule shared by every batch driver.
+/// in a parallel-for (blocks narrow until every lane has one), and 1 when
+/// blocks are swept sequentially (level-set batch paths, the sequential
+/// executor). The one narrowing rule every batched solve shares.
 [[nodiscard]] index_t rhs_block_width(index_t plan_block, index_t nrhs,
                                       index_t parallel_lanes);
 
@@ -168,7 +167,8 @@ class Workspace {
       ws_ = &ws;
     }
     ~Borrow() {
-      if (ws_ != nullptr) ws_->borrowed_.store(false, std::memory_order_release);
+      if (ws_ != nullptr)
+        ws_->borrowed_.store(false, std::memory_order_release);
     }
     Borrow(const Borrow&) = delete;
     Borrow& operator=(const Borrow&) = delete;
@@ -188,15 +188,37 @@ class Workspace {
   bool guard_opt_in_ = false;
 };
 
-/// Blocked multi-RHS solve over factored supernodal panels: `bx` holds nrhs
-/// column-major dense RHS of length dims.n, overwritten by the solutions.
-/// RHS columns are tiled into packed blocks of dims.rhs_block and pushed
-/// through the multi-RHS panel kernels; per column the arithmetic is
-/// bit-identical to panel_forward_solve + panel_backward_solve. Blocks run
-/// in parallel under OpenMP with per-thread workspaces.
-void blocked_panel_solve_batch(const solvers::SupernodalLayout& layout,
-                               std::span<const value_t> panels,
-                               const WorkspaceDims& dims,
-                               std::span<value_t> bx, index_t nrhs);
+/// The factor a packed batch sweeps: supernodal panels over their layout,
+/// or a simplicial lower CSC factor.
+class BatchFactor {
+ public:
+  BatchFactor(const solvers::SupernodalLayout& layout,
+              std::span<const value_t> panels)
+      : layout_(&layout), panels_(panels) {}
+  explicit BatchFactor(const CscMatrix& l) : csc_(&l) {}
+
+  [[nodiscard]] index_t n() const {
+    return csc_ != nullptr ? csc_->cols() : layout_->n;
+  }
+  /// Forward then backward solve of one packed block (ldp == nrhs) in
+  /// place; `tail` is the panels' tail scratch (unused by a CSC factor).
+  void solve_block(value_t* xp, index_t nrhs, value_t* tail) const;
+
+ private:
+  const solvers::SupernodalLayout* layout_ = nullptr;
+  std::span<const value_t> panels_;
+  const CscMatrix* csc_ = nullptr;
+};
+
+/// Blocked multi-RHS solve over a factor: `bx` holds nrhs column-major
+/// dense RHS of length n, overwritten by the solutions. RHS columns are
+/// tiled into packed blocks of at most dims.rhs_block (the default width
+/// when 0); each block is packed, swept once through the factor and
+/// unpacked — the factor streams once per block instead of once per RHS.
+/// Per column the arithmetic is bit-identical to the single-RHS solve
+/// (panel_forward/backward_solve or trisolve_naive/transpose). Blocks
+/// run in parallel under OpenMP with per-thread workspaces.
+void packed_solve_batch(const BatchFactor& factor, const WorkspaceDims& dims,
+                        std::span<value_t> bx, index_t nrhs);
 
 }  // namespace sympiler::core

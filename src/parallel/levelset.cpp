@@ -824,7 +824,8 @@ bool parallel_panel_solve_batch(const core::CholeskyPlan& plan,
     // sequential blocked driver instead (bit-identical per column, with
     // per-thread workspaces of its own). bx is untouched at this point.
     if (fallback_error != nullptr) *fallback_error = status_of(e);
-    core::blocked_panel_solve_batch(layout, panels, plan.workspace, bx, nrhs);
+    core::packed_solve_batch(core::BatchFactor(layout, panels), plan.workspace,
+                             bx, nrhs);
     return true;
   }
   value_t* xp = ws.rhs_block();

@@ -154,7 +154,7 @@ bool parallel_cholesky(const core::CholeskyPlan& plan,
 /// inside each level. `ws` is the caller's shared workspace (packed block
 /// + terms); per-thread tail scratch lives in grow-only thread_local
 /// workspaces. Degrades on failure: if the shared workspace cannot grow,
-/// the whole batch falls back to core::blocked_panel_solve_batch
+/// the whole batch falls back to core::packed_solve_batch
 /// (bit-identical per column); a block failing mid-sweep is repacked from
 /// its pristine input columns and re-swept serially. Returns true when any
 /// fallback was taken, recording the first failure in `*fallback_error`

@@ -31,6 +31,16 @@ void trisolve_decoupled(const CscMatrix& l, std::span<const index_t> reach_set,
 /// A x = b after Cholesky). x holds b on entry, the solution on exit.
 void trisolve_transpose(const CscMatrix& l, std::span<value_t> x);
 
+/// Packed multi-RHS forms of trisolve_naive and trisolve_transpose over an
+/// RHS-major block: X(i, r) at xp[r + i * ldp], ldp >= nrhs.
+/// One sweep streams L once for the whole block; per RHS column the
+/// operation sequence (and the zero-diagonal throw) is exactly the
+/// single-RHS loop's, so the results are bit-identical to it.
+void trisolve_naive_multi(const CscMatrix& l, value_t* xp, index_t nrhs,
+                          index_t ldp);
+void trisolve_transpose_multi(const CscMatrix& l, value_t* xp, index_t nrhs,
+                              index_t ldp);
+
 /// Flop count of a sparse-RHS solve restricted to `reach_set`
 /// (1 div + 2 flops per off-diagonal nonzero of each reached column).
 [[nodiscard]] double trisolve_flops(const CscMatrix& l,

@@ -64,11 +64,12 @@ std::uint64_t allocations_in(Fn&& fn) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-void check_zero_warm_allocations(const CscMatrix& a,
-                                 api::SolverConfig config) {
+/// Default 40 RHS crosses one packed-block boundary; 4 RHS is one narrow
+/// block.
+void check_zero_warm_allocations(const CscMatrix& a, api::SolverConfig config,
+                                 index_t nrhs = 40) {
   api::Solver solver(config, nullptr);
   const auto n = static_cast<std::size_t>(a.cols());
-  const index_t nrhs = 40;  // crosses one packed-block boundary
   std::vector<value_t> xs =
       random_vec(n * static_cast<std::size_t>(nrhs), 11);
   std::vector<value_t> x1 = random_vec(n, 12);
@@ -99,6 +100,20 @@ TEST(ZeroAllocation, WarmSimplicialFactorAndBatchSolve) {
   config.enable_parallel = false;
   config.options.vs_block = false;
   check_zero_warm_allocations(gen::grid2d_laplacian(24, 24), config);
+}
+
+TEST(ZeroAllocation, WarmSupernodalFourRhsBatch) {
+  api::SolverConfig config;
+  config.enable_parallel = false;
+  check_zero_warm_allocations(gen::grid2d_laplacian(40, 40), config, 4);
+}
+
+TEST(ZeroAllocation, WarmSimplicialFourRhsBatch) {
+  // The simplicial batch borrows the per-thread packed workspace too.
+  api::SolverConfig config;
+  config.enable_parallel = false;
+  config.options.vs_block = false;
+  check_zero_warm_allocations(gen::grid2d_laplacian(24, 24), config, 4);
 }
 
 TEST(ZeroAllocation, WarmTriangularSolveBatch) {

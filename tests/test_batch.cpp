@@ -33,6 +33,10 @@ void expect_bits_equal(std::span<const value_t> a, std::span<const value_t> b,
     ASSERT_EQ(a[t], b[t]) << what << " differs at flat index " << t;
 }
 
+/// Batch widths: every register-chunk width (8/4/2/1) and remainder, and
+/// the packed-block boundary at 32.
+constexpr index_t kWidths[] = {1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64};
+
 /// Factor `a` under `config`, then check solve_batch == looped solve for a
 /// batch width sweep that crosses the packed-block boundary.
 void check_solver_batch(const CscMatrix& a, api::SolverConfig config,
@@ -41,7 +45,7 @@ void check_solver_batch(const CscMatrix& a, api::SolverConfig config,
   solver.factor(a);
   ASSERT_EQ(solver.path(), expected_path);
   const auto n = static_cast<std::size_t>(a.cols());
-  for (const index_t nrhs : {1, 3, 32, 33, 64}) {
+  for (const index_t nrhs : kWidths) {
     const std::vector<value_t> base =
         random_vec(n * static_cast<std::size_t>(nrhs), 42 + nrhs);
     std::vector<value_t> looped = base;
@@ -122,7 +126,7 @@ void check_trisolve_batch(const CscMatrix& a, api::SolverConfig config,
   api::TriangularSolver tri(l, beta, config, nullptr);
   ASSERT_EQ(tri.path(), expected_path);
   const auto n = static_cast<std::size_t>(l.cols());
-  for (const index_t nrhs : {1, 3, 32, 33, 64}) {
+  for (const index_t nrhs : kWidths) {
     const std::vector<value_t> base =
         random_vec(n * static_cast<std::size_t>(nrhs), 99 + nrhs);
     std::vector<value_t> looped = base;

@@ -341,8 +341,11 @@ TEST(BitIdentity, GemvAllShapes) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiRhs, PackRoundTripAndKernelsMatchLoopedSingle) {
+  // Every register-chunk width (8/4/2/1 and their remainders) and the
+  // 32-wide full chunk with its remainders.
   for (const index_t n : {1, 5, 16, 40}) {
-    for (const index_t nrhs : {1, 2, 7, 8, 31, 32}) {
+    for (const index_t nrhs :
+         {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33}) {
       std::vector<value_t> l = random_spd_dense(n, 10000 + n + nrhs);
       blas::potrf_lower(n, l.data(), n);
       // Column-major batch, packed copy, and the ragged pack stride.

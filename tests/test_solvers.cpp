@@ -2,9 +2,13 @@
 // and the simplicial / supernodal Cholesky factorizations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <span>
+#include <vector>
 
+#include "blas/kernels.h"
 #include "gen/generators.h"
 #include "graph/reach.h"
 #include "graph/symbolic.h"
@@ -77,6 +81,42 @@ TEST(TriSolve, ZeroDiagonalThrows) {
   const CscMatrix l = CscMatrix::from_triplets(2, 2, trip);
   std::vector<value_t> x = {1.0, 1.0};
   EXPECT_THROW(solvers::trisolve_naive(l, x), numerical_error);
+}
+
+TEST(TriSolve, PackedSweepsMatchLoopedSingleBitForBit) {
+  const CscMatrix l = small_factor(9, 0);
+  const index_t n = l.cols();
+  for (const index_t nrhs : {1, 2, 3, 4, 5, 7, 8, 9, 31, 32}) {
+    const index_t ldp = nrhs + 1;  // ragged pack stride
+    std::vector<value_t> cols(static_cast<std::size_t>(n * nrhs));
+    for (index_t r = 0; r < nrhs; ++r) {
+      const std::vector<value_t> b = gen::dense_rhs(n, 40 + r);
+      std::copy(b.begin(), b.end(), cols.begin() + r * n);
+    }
+    std::vector<value_t> packed(static_cast<std::size_t>(n * ldp), -7.0);
+    blas::pack_rhs(n, nrhs, cols.data(), n, packed.data(), ldp);
+    solvers::trisolve_naive_multi(l, packed.data(), nrhs, ldp);
+    solvers::trisolve_transpose_multi(l, packed.data(), nrhs, ldp);
+    for (index_t r = 0; r < nrhs; ++r) {
+      const std::span<value_t> x(cols.data() + r * n,
+                                 static_cast<std::size_t>(n));
+      solvers::trisolve_naive(l, x);
+      solvers::trisolve_transpose(l, x);
+      for (index_t i = 0; i < n; ++i)
+        ASSERT_EQ(packed[i * ldp + r], x[i])
+            << "nrhs " << nrhs << " rhs " << r << " row " << i;
+    }
+  }
+}
+
+TEST(TriSolve, PackedSweepsThrowOnZeroDiagonal) {
+  std::vector<Triplet> trip = {{0, 0, 1.0}, {1, 1, 0.0}, {2, 2, 1.0}};
+  const CscMatrix l = CscMatrix::from_triplets(3, 3, trip);
+  std::vector<value_t> xp(3 * 4, 1.0);
+  EXPECT_THROW(solvers::trisolve_naive_multi(l, xp.data(), 4, 4),
+               numerical_error);
+  EXPECT_THROW(solvers::trisolve_transpose_multi(l, xp.data(), 4, 4),
+               numerical_error);
 }
 
 TEST(TriSolve, FlopCount) {
