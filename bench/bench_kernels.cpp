@@ -18,8 +18,8 @@
 // Section 4 — level-set parallel trisolve (OpenMP builds). The retired
 // atomic wavefront (kept here, and only here, as the baseline — the
 // library no longer contains any omp atomic) against the level-private
-// deterministic scheme and its coarsened rewrites — flat schedule vs
-// chain-fused vs chains+SIMD-bundles (all bit-identical; the ablation
+// deterministic scheme on the flat schedule (singleton tasks) vs the
+// chain-fused schedule the Planner commits (bit-identical; the ablation
 // measures pure scheduling) — plus the packed multi-RHS level sweep and
 // the chain-heavy banded tiny-level regime where fusion collapses
 // thousands of barriers.
@@ -355,16 +355,13 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
   if (plan->path != core::ExecutionPath::ParallelTriSolve)
     return {};  // sequential build: the planner never opens the path
 
-  // Coarsening ablation variants of the same plan: the planner-built
-  // `plan` carries chains + SIMD bundles; `flat` drops the aggregate
-  // schedule (flat level sweep), `chains` re-coarsens with bundling off.
-  // All three interpret identical slot maps, so the rows isolate the
-  // scheduling rewrite.
+  // Coarsening ablation of the same plan: the planner-built `plan` runs
+  // chain-fused tasks; `flat` rebuilds its aggregate as one singleton
+  // task per column (chains off) — the flat level sweep through the same
+  // interpreter and slot map, so the rows isolate the scheduling rewrite.
   core::TriSolvePlan flat = *plan;
-  flat.agg = parallel::AggregateSchedule{};
-  core::TriSolvePlan chains = *plan;
-  chains.agg = parallel::coarsen_schedule_columns(
-      l, plan->schedule, parallel::CoarsenOptions{true, false});
+  flat.agg = parallel::coarsen_schedule_columns(l, plan->schedule,
+                                                {.chains = false});
 
   const int reps = smoke ? 3 : 5;
   std::vector<ParTriRow> rows;
@@ -402,12 +399,9 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
   const double flat_seconds = time_scheme(flat);
   rows.push_back({"level-private (flat)", n, 1, flat_seconds,
                   serial_seconds / flat_seconds});
-  const double chain_seconds = time_scheme(chains);
+  const double chain_seconds = time_scheme(*plan);
   rows.push_back({"chain-fused", n, 1, chain_seconds,
                   serial_seconds / chain_seconds});
-  const double coarse_seconds = time_scheme(*plan);
-  rows.push_back({"chains+bundles", n, 1, coarse_seconds,
-                  serial_seconds / coarse_seconds});
 
   for (const index_t nrhs : {8, 32}) {
     const std::vector<value_t> base =
@@ -441,10 +435,8 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
                                         /*with_key=*/false));
     if (bplan->path == core::ExecutionPath::ParallelTriSolve) {
       core::TriSolvePlan bflat = *bplan;
-      bflat.agg = parallel::AggregateSchedule{};
-      core::TriSolvePlan bchains = *bplan;
-      bchains.agg = parallel::coarsen_schedule_columns(
-          lb, bplan->schedule, parallel::CoarsenOptions{true, false});
+      bflat.agg = parallel::coarsen_schedule_columns(lb, bplan->schedule,
+                                                     {.chains = false});
       const std::vector<value_t> bb =
           random_vec(static_cast<std::size_t>(lb.cols()));
       std::vector<value_t> bx(bb.size());
@@ -468,12 +460,9 @@ std::vector<ParTriRow> bench_parallel_trisolve(bool smoke) {
       const double bflat_seconds = btime(bflat);
       rows.push_back({"flat (banded tiny-lvl)", lb.cols(), 1, bflat_seconds,
                       bserial_seconds / bflat_seconds});
-      const double bchain_seconds = btime(bchains);
+      const double bchain_seconds = btime(*bplan);
       rows.push_back({"chain-fused (banded)", lb.cols(), 1, bchain_seconds,
                       bserial_seconds / bchain_seconds});
-      const double bcoarse_seconds = btime(*bplan);
-      rows.push_back({"chains+bundles (banded)", lb.cols(), 1, bcoarse_seconds,
-                      bserial_seconds / bcoarse_seconds});
     }
   }
   return rows;
@@ -616,8 +605,7 @@ int main(int argc, char** argv) {
                 r.nrhs, r.looped_seconds, r.blocked_seconds, r.speedup());
 
   std::printf(
-      "\n== level-set parallel trisolve: flat vs chain-fused vs "
-      "chains+bundles ==\n");
+      "\n== level-set parallel trisolve: flat vs chain-fused ==\n");
   const std::vector<ParTriRow> partri = bench_parallel_trisolve(smoke);
   if (partri.empty()) {
     std::printf("(skipped: built without OpenMP — no parallel plan)\n");

@@ -1,7 +1,12 @@
 // Extension bench: level-set (wavefront) parallel executors — the paper's
 // stated extension to shared memory (realized by the ParSy follow-on).
-// Compares sequential executors against the OpenMP level-set versions.
+// Compares the sequential executors against the parallel plans the
+// Planner commits (chain-fused aggregate schedules, gates held open) —
+// exactly what the facades run on the ParallelSupernodal /
+// ParallelTriSolve paths.
 #include <cstdio>
+#include <memory>
+#include <numeric>
 #include <vector>
 
 #ifdef SYMPILER_HAS_OPENMP
@@ -10,71 +15,84 @@
 
 #include "bench/common.h"
 #include "core/cholesky_executor.h"
-#include "core/inspector.h"
+#include "core/planner.h"
+#include "core/trisolve_executor.h"
+#include "core/workspace.h"
 #include "gen/suite.h"
 #include "parallel/levelset.h"
-#include "solvers/trisolve.h"
 
 using namespace sympiler;
 
 int main() {
+  if (!core::Planner::parallel_enabled()) {
+    std::printf("Extension: level-set executors (skipped: built without "
+                "OpenMP — the Planner commits no parallel plan)\n");
+    return 0;
+  }
 #ifdef SYMPILER_HAS_OPENMP
   std::printf("Extension: level-set parallel executors (%d threads)\n",
               omp_get_max_threads());
-#else
-  std::printf("Extension: level-set executors (built without OpenMP)\n");
 #endif
-  bench::print_rule(116);
-  std::printf("%2s %-14s | %8s %12s %12s %8s | %12s %12s %8s\n", "id", "name",
-              "levels", "seq-tri(s)", "par-tri(s)", "speedup", "seq-chol(s)",
-              "par-chol(s)", "speedup");
-  bench::print_rule(116);
+  bench::print_rule(124);
+  std::printf("%2s %-14s | %8s %8s %11s %11s %8s | %11s %11s %8s\n", "id",
+              "name", "levels", "agg-lvls", "seq-tri(s)", "par-tri(s)",
+              "speedup", "seq-chol(s)", "par-chol(s)", "speedup");
+  bench::print_rule(124);
+
+  // Gates held open so every problem plans the parallel paths; the
+  // schedules are the ones the Planner builds for any config.
+  core::PlannerConfig chol_pc;
+  chol_pc.options.vsblock_min_avg_size = 0.0;
+  chol_pc.options.vsblock_min_avg_width = 0.0;  // supernodal path for all
+  chol_pc.parallel_min_supernodes = 1;
+  chol_pc.parallel_min_avg_level_width = 0.0;
+  core::PlannerConfig tri_pc = chol_pc;
+  tri_pc.options.vsblock_min_avg_size = 1e9;  // column-level solve
 
   for (const int id : {2, 8, 10, 11}) {
     const auto& spec = gen::suite_problem(id);
     const CscMatrix a = spec.make();
-    core::SympilerOptions opt;
-    opt.vsblock_min_avg_size = 0.0;
-    opt.vsblock_min_avg_width = 0.0;  // supernodal path for all
-    const core::CholeskySets sets = core::inspect_cholesky(a, opt);
 
-    core::CholeskyExecutor exec(a, opt);
+    const core::CholeskyPlan plan =
+        core::Planner(chol_pc).plan_cholesky(a, /*with_key=*/false);
+    core::CholeskyExecutor exec(a, chol_pc.options);
     const double t_seq_chol = bench::bench_seconds([&] { exec.factorize(a); });
-
-    const parallel::LevelSchedule sn_sched =
-        parallel::level_schedule_supernodes(sets.blocks, sets.sym.parent);
     std::vector<value_t> panels(
-        static_cast<std::size_t>(sets.layout.total_values()));
+        static_cast<std::size_t>(plan.sets.layout.total_values()));
     const double t_par_chol = bench::bench_seconds(
-        [&] { parallel::parallel_cholesky(sets, sn_sched, a, panels); });
+        [&] { parallel::parallel_cholesky(plan, a, panels); });
 
-    const CscMatrix l = panels_to_csc(sets.layout, panels);
-    const parallel::LevelSchedule col_sched =
-        parallel::level_schedule_columns(l);
-    const parallel::UpdateSlotMap col_umap = parallel::update_slots_columns(l);
-    std::vector<value_t> terms(static_cast<std::size_t>(col_umap.slots()));
+    const CscMatrix l = panels_to_csc(plan.sets.layout, panels);
+    std::vector<index_t> beta(static_cast<std::size_t>(l.cols()));
+    std::iota(beta.begin(), beta.end(), 0);
+    const auto tplan = std::make_shared<const core::TriSolvePlan>(
+        core::Planner(tri_pc).plan_trisolve(l, beta, nullptr,
+                                            /*with_key=*/false));
+    core::TriSolveExecutor serial(tplan, l);
+    core::Workspace ws;
     const std::vector<value_t> b(static_cast<std::size_t>(l.cols()), 1.0);
     std::vector<value_t> x(b);
     const double t_seq_tri = bench::bench_seconds([&] {
       std::copy(b.begin(), b.end(), x.begin());
-      solvers::trisolve_naive(l, x);
+      serial.solve(x);
     });
     const double t_par_tri = bench::bench_seconds([&] {
       std::copy(b.begin(), b.end(), x.begin());
-      parallel::parallel_trisolve(l, col_sched, col_umap, x, terms);
+      parallel::parallel_trisolve(l, *tplan, x, ws);
     });
 
     std::printf(
-        "%2d %-14s | %8d %12.5f %12.5f %7.2fx | %12.4f %12.4f %7.2fx\n",
-        spec.id, spec.paper_name.c_str(), col_sched.levels(), t_seq_tri,
-        t_par_tri, t_seq_tri / t_par_tri, t_seq_chol, t_par_chol,
-        t_seq_chol / t_par_chol);
+        "%2d %-14s | %8d %8d %11.5f %11.5f %7.2fx | %11.4f %11.4f %7.2fx\n",
+        spec.id, spec.paper_name.c_str(), tplan->schedule.levels(),
+        tplan->agg.levels(), t_seq_tri, t_par_tri, t_seq_tri / t_par_tri,
+        t_seq_chol, t_par_chol, t_seq_chol / t_par_chol);
     std::fflush(stdout);
   }
-  bench::print_rule(116);
+  bench::print_rule(124);
   std::printf(
-      "note: the wavefront trisolve pays barriers + slot traffic "
-      "(level-private, deterministic — no atomics); it wins only when "
+      "note: levels/agg-lvls are the trisolve's flat and chain-fused "
+      "barrier counts; the wavefront trisolve pays barriers + slot traffic "
+      "(level-private, deterministic — no atomics) and wins only when "
       "levels are wide relative to the core count.\n");
   return 0;
 }

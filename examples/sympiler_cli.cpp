@@ -93,7 +93,7 @@ core::PlannerConfig sequential_config(const core::SympilerOptions& base,
   return cfg;
 }
 
-core::CholeskyPlan parallel_cholesky_plan(const CscMatrix& a, bool coarsen) {
+core::CholeskyPlan parallel_cholesky_plan(const CscMatrix& a, bool chains) {
   core::SympilerOptions opt;
   opt.vsblock_min_avg_size = 0.0;
   opt.vsblock_min_avg_width = 0.0;
@@ -107,20 +107,15 @@ core::CholeskyPlan parallel_cholesky_plan(const CscMatrix& a, bool coarsen) {
   plan.workspace.need_dense = false;
   plan.workspace.update_slots = plan.solve_update_map.slots();
   plan.path = core::ExecutionPath::ParallelSupernodal;
-  if (coarsen) {
-    std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-    for (std::size_t u = 0; u < dep_src.size(); ++u)
-      dep_src[u] = plan.sets.updates.refs[u].d;
-    plan.agg = parallel::coarsen_schedule_supernodes(
-        plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr,
-        dep_src, plan.schedule);
-  }
+  plan.agg = parallel::coarsen_schedule_supernodes(
+      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates,
+      plan.schedule, {.chains = chains});
   return plan;
 }
 
 core::TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
                                           std::span<const index_t> beta,
-                                          bool coarsen) {
+                                          bool chains) {
   core::SympilerOptions opt;
   opt.vsblock_min_avg_size = 1e9;  // column-level solve
   opt.vsblock_min_avg_width = 1e9;
@@ -135,7 +130,8 @@ core::TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
   plan.workspace.update_slots = plan.update_map.slots();
   plan.workspace.rhs_block = core::kRhsBlockWidth;
   plan.path = core::ExecutionPath::ParallelTriSolve;
-  if (coarsen) plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
+  plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule,
+                                               {.chains = chains});
   return plan;
 }
 
@@ -143,11 +139,11 @@ constexpr verify::Corruption kCorpus[] = {
     verify::Corruption::kDepViolation,
     verify::Corruption::kAliasedSlot,
     verify::Corruption::kReorderedFold,
-    verify::Corruption::kCrossDependentBundle,
     verify::Corruption::kOutOfBoundsIndex,
     verify::Corruption::kWorkspaceTrim,
     verify::Corruption::kScheduleGap,
     verify::Corruption::kChainReorder,
+    verify::Corruption::kDroppedAggregate,
 };
 
 struct CorpusTally {

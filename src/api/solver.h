@@ -50,9 +50,6 @@ struct SolverConfig {
   /// enough average levels to beat the barrier cost per level.
   index_t parallel_min_supernodes = 256;
   double parallel_min_avg_level_width = 8.0;
-  /// Coarsen committed parallel schedules into chains + SIMD bundles
-  /// (core::PlannerConfig::coarsen_schedule).
-  bool coarsen_schedule = true;
 
   /// Byte budget and shard count of the private SymbolicContext a Solver
   /// creates when it is constructed with an explicitly null context.
@@ -68,7 +65,6 @@ struct SolverConfig {
     pc.enable_parallel = enable_parallel;
     pc.parallel_min_supernodes = parallel_min_supernodes;
     pc.parallel_min_avg_level_width = parallel_min_avg_level_width;
-    pc.coarsen_schedule = coarsen_schedule;
     return pc;
   }
 };

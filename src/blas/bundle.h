@@ -1,92 +1,17 @@
-// Lock-step SIMD row-bundle kernels for the coarsened level-set schedules
-// (parallel/schedule.h), with runtime ISA dispatch.
-//
-// A bundle is 2..kBundleLanesMax mutually independent columns of L with
-// identical sparsity shape (same incoming-term count, same update count),
-// scheduled at one aggregate level. The bundle kernel advances all lanes
-// in lock step: gather the incoming privatized terms lane-by-lane per
-// term index, divide by the pivots, scatter the scaled updates into each
-// lane's plan-assigned slots. Per lane the operation sequence is exactly
-// the scalar solve_column body — fold ascending term index, scale last —
-// so lane parallelism changes data movement only, never any element's
-// bits. `trisolve_bundle_ref` is the scalar twin of the two-tier contract
-// (blas/kernels.h): it runs the lanes serially through the same per-lane
-// sequence and the SIMD tiers must match it bit for bit.
-//
-// Runtime ISA dispatch. The kernel body (bundle_impl.inc) is compiled
-// into three translation units — baseline, AVX2 (-mavx2), and AVX-512
-// (-mavx512f), all with -mno-fma and the library-wide -ffp-contract=off —
-// and one binary picks the widest CPU-supported tier via cpuid on first
-// use (no -march=native of the build host baked into the dispatch).
-// Wider vector lanes change no arithmetic: the same uncontracted
-// mul/sub/div runs per element on every tier, so results are
-// bit-identical across tiers (pinned in tests/test_blas.cpp). With
-// SYMPILER_KERNEL_ISA=off all three TUs compile to baseline code and the
-// dispatch degenerates harmlessly.
+// CPU vector-tier probe (cpuid, detected once at first use). Benchmark
+// records stamp it beside the build's SYMPILER_KERNEL_ISA so a result
+// names the widest vector ISA the running machine offers, independent of
+// the flags the library was compiled with.
 #pragma once
-
-#include "util/common.h"
 
 namespace sympiler::blas {
 
-/// Widest bundle the kernels accept (mirrors parallel::kBundleMax).
-inline constexpr index_t kBundleLanesMax = 8;
-
-/// Vector-ISA tiers of the bundle kernel, ascending width.
+/// Vector-ISA tiers, ascending width.
 enum class BundleIsa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 [[nodiscard]] const char* to_string(BundleIsa isa);
 
-/// Widest tier this CPU supports (cpuid; detected once).
-[[nodiscard]] BundleIsa bundle_isa_best();
-
-/// Tier the dispatcher currently routes to: the forced tier if one was
-/// set, else the best supported tier.
+/// Widest tier this CPU supports.
 [[nodiscard]] BundleIsa bundle_isa_active();
-
-/// Force a dispatch tier (tests / benches), clamped to the best supported
-/// tier — forcing AVX-512 on an AVX2 machine selects AVX2. Returns the
-/// tier actually selected. Pass the best tier to restore auto behavior.
-BundleIsa bundle_isa_force(BundleIsa isa);
-
-/// Lock-step forward-solve step of one column bundle. `cols` holds
-/// `lanes` (<= kBundleLanesMax) column ids of identical shape: every lane
-/// has `incount` incoming privatized terms and `outcount` off-diagonal
-/// updates. `colptr`/`Lx` are the CSC structure/values of L, `slot` +
-/// `row_ptr` the compacted UpdateSlotMap arrays, `x` the solution vector
-/// and `terms` the privatized terms buffer. Dispatches to the active ISA
-/// tier.
-void trisolve_bundle(index_t lanes, index_t incount, index_t outcount,
-                     const index_t* cols, const index_t* colptr,
-                     const value_t* Lx, const index_t* slot,
-                     const index_t* row_ptr, value_t* x, value_t* terms);
-
-/// Scalar reference twin: lanes run serially, each through the exact
-/// scalar solve_column sequence. The dispatch tiers must match this bit
-/// for bit on every input.
-void trisolve_bundle_ref(index_t lanes, index_t incount, index_t outcount,
-                         const index_t* cols, const index_t* colptr,
-                         const value_t* Lx, const index_t* slot,
-                         const index_t* row_ptr, value_t* x, value_t* terms);
-
-namespace detail {
-/// Per-TU instantiations of the shared kernel body (bundle_impl.inc);
-/// call through trisolve_bundle, never directly — only the dispatcher
-/// knows which tiers the running CPU supports.
-void trisolve_bundle_scalar(index_t lanes, index_t incount, index_t outcount,
-                            const index_t* cols, const index_t* colptr,
-                            const value_t* Lx, const index_t* slot,
-                            const index_t* row_ptr, value_t* x,
-                            value_t* terms);
-void trisolve_bundle_avx2(index_t lanes, index_t incount, index_t outcount,
-                          const index_t* cols, const index_t* colptr,
-                          const value_t* Lx, const index_t* slot,
-                          const index_t* row_ptr, value_t* x, value_t* terms);
-void trisolve_bundle_avx512(index_t lanes, index_t incount, index_t outcount,
-                            const index_t* cols, const index_t* colptr,
-                            const value_t* Lx, const index_t* slot,
-                            const index_t* row_ptr, value_t* x,
-                            value_t* terms);
-}  // namespace detail
 
 }  // namespace sympiler::blas

@@ -52,9 +52,8 @@ struct PlanEvidence {
   index_t supernodes = 0;             ///< block-set size
   index_t levels = 0;                 ///< level-set depth (0 = no schedule)
   double avg_level_width = 0.0;       ///< items per level
-  index_t agg_levels = 0;             ///< coarsened barrier count (0 = flat)
-  index_t agg_tasks = 0;              ///< chains + bundles after coarsening
-  index_t agg_bundles = 0;            ///< lock-step SIMD bundles among tasks
+  index_t agg_levels = 0;             ///< coarsened barrier count
+  index_t agg_tasks = 0;              ///< chain tasks after coarsening
   double build_seconds = 0.0;         ///< wall time spent planning (cost to
                                       ///< recompute; weighs eviction)
   /// Whether the facades may lower this plan to a compiled kernel
@@ -82,10 +81,9 @@ struct CholeskyPlan {
   parallel::UpdateSlotMap solve_update_map;
   /// Dependence-coarsened rewrite of `schedule` (chain fusion over the
   /// supernodal update dependences); empty unless path ==
-  /// ParallelSupernodal and coarsening is enabled. When non-empty the
-  /// parallel executors interpret it instead of the flat schedule; the
-  /// flat schedule stays in the plan as the coarsener's provenance and
-  /// for ablation benchmarks.
+  /// ParallelSupernodal, and then covering every supernode. The only
+  /// schedule the parallel executors interpret; the flat schedule stays
+  /// in the plan as the coarsener's verified provenance.
   parallel::AggregateSchedule agg;
   ExecutionPath path = ExecutionPath::Simplicial;
   PlanEvidence evidence;
@@ -123,11 +121,11 @@ struct TriSolvePlan {
   /// into these instead of racing on x, so it is bit-identical to the
   /// serial pruned solve at any thread count.
   parallel::UpdateSlotMap update_map;
-  /// Dependence-coarsened rewrite of `schedule` (chain fusion + SIMD row
-  /// bundles over DG_L); empty unless path == ParallelTriSolve and
-  /// coarsening is enabled. Interpreted in place of the flat schedule
-  /// when non-empty (parallel/levelset.h); the flat schedule is retained
-  /// for ablation and evidence.
+  /// Dependence-coarsened rewrite of `schedule` (chain fusion over DG_L);
+  /// empty unless path == ParallelTriSolve, and then covering every
+  /// column. The only schedule the parallel executors interpret
+  /// (parallel/levelset.h); the flat schedule stays as verified
+  /// provenance and evidence.
   parallel::AggregateSchedule agg;
   ExecutionPath path = ExecutionPath::PrunedTriSolve;
   PlanEvidence evidence;

@@ -365,18 +365,14 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
     build_schedule();
   }
 #endif
-  if (products.committed && req.coarsen) {
+  if (products.committed) {
     // Coarsening reads the update lists, which may still be under
     // construction while build_schedule runs as a task sibling — so it
     // happens here, after the assembly barrier, in both pipelines
     // (deterministic pattern function: naive and fast agree bit for bit).
     Timer t_coarsen;
-    std::vector<index_t> dep_src(sets.updates.refs.size());
-    for (std::size_t u = 0; u < sets.updates.refs.size(); ++u)
-      dep_src[u] = sets.updates.refs[u].d;
     products.agg = parallel::coarsen_schedule_supernodes(
-        sets.blocks, sets.sym.parent, sets.updates.ptr, dep_src,
-        products.schedule);
+        sets.blocks, sets.sym.parent, sets.updates, products.schedule);
     ph.schedule += t_coarsen.seconds();
   }
   ph.assemble = t_asm.seconds();

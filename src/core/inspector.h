@@ -137,13 +137,11 @@ struct CholeskyPlanRequest {
   /// before the pattern fill, so skipped products cost nothing.
   bool gate_products = false;
   /// Build the supernode level schedule — and, if the width gate passes,
-  /// the forward-solve slot map — inside the same assembly region.
+  /// the forward-solve slot map and the chain-coarsened aggregate — inside
+  /// the same assembly region.
   bool build_schedule = false;
   index_t parallel_min_supernodes = 0;
   double parallel_min_avg_level_width = 0.0;
-  /// Also coarsen a committed schedule into the aggregate (chain-fused)
-  /// form — see parallel/schedule.h.
-  bool coarsen = false;
   /// Use the retained naive reference pipeline: symbolic_cholesky_naive
   /// plus strictly serial assembly. The equivalence tests pin the fast
   /// path bit-identical to this.
@@ -157,8 +155,8 @@ struct CholeskyPlanProducts {
   bool committed = false;  ///< level-width gate passed; slot map built
   parallel::LevelSchedule schedule;
   parallel::UpdateSlotMap solve_update_map;
-  /// Dependence-coarsened rewrite of `schedule` (empty unless committed
-  /// and the request asked to coarsen).
+  /// Dependence-coarsened rewrite of `schedule` (empty unless committed)
+  /// — see parallel/schedule.h.
   parallel::AggregateSchedule agg;
 };
 

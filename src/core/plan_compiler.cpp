@@ -184,13 +184,8 @@ void emit_cholesky_supernodal(std::ostringstream& os,
 
   os << "// supernodal left-looking Cholesky, pattern-specialized: the\n"
         "// supernode extents, panel offsets, and the static update\n"
-        "// schedule are baked"
-     << (plan.schedule.empty()
-             ? "; natural supernode order.\n"
-             : ", and the level schedule is flattened\n"
-               "// into straight-line phases (any topological order is\n"
-               "// bit-identical for left-looking updates).\n")
-     << "// Operation order mirrors\n"
+        "// schedule are baked; natural supernode order.\n"
+        "// Operation order mirrors\n"
         "// CholeskyExecutor::factorize_supernodal exactly, including the\n"
         "// peeled single-target-column update when SPECIALIZED.\n";
   emit_dense_helpers(os);
@@ -272,25 +267,9 @@ void emit_cholesky_supernodal(std::ostringstream& os,
         "      }\n"
         "    }\n"
         "  }\n";
-  if (plan.schedule.empty()) {
-    os << "  for (int s = 0; s < NSUPER; ++s)\n"
-          "    if (factor_one(s, Ax, panels, work, map) != 0) return -1;\n";
-  } else {
-    // Level-flattened straight-line phases: one loop per level over the
-    // baked topological order, dependencies resolved by construction.
-    emit_array(os, "snOrder", plan.schedule.items);
-    const index_t levels = plan.schedule.levels();
-    for (index_t lv = 0; lv < levels; ++lv) {
-      const index_t b = plan.schedule.level_ptr[lv];
-      const index_t e = plan.schedule.level_ptr[lv + 1];
-      os << "  /* phase " << lv << ": " << (e - b) << " supernode(s) */\n"
-         << "  for (int t = " << b << "; t < " << e
-         << "; ++t)\n"
-            "    if (factor_one(snOrder[t], Ax, panels, work, map) != 0) "
-            "return -1;\n";
-    }
-  }
-  os << "  return 0;\n}\n";
+  os << "  for (int s = 0; s < NSUPER; ++s)\n"
+        "    if (factor_one(s, Ax, panels, work, map) != 0) return -1;\n"
+        "  return 0;\n}\n";
 }
 
 // ------------------------------------------------------ trisolve shapes
@@ -515,8 +494,8 @@ std::string PlanCompiler::emit(const CholeskyPlan& plan) {
   if (plan.path == ExecutionPath::Simplicial) {
     emit_cholesky_simplicial(os, plan);
   } else {
-    // Supernodal and ParallelSupernodal: one supernodal emission; the
-    // parallel plan's level schedule is flattened into phases.
+    // Supernodal (ParallelSupernodal plans are never jit_eligible; were
+    // one emitted, it would get the same natural-order kernel).
     emit_cholesky_supernodal(os, plan);
   }
   return os.str();

@@ -4,12 +4,12 @@
 // This is the codegen half of the paper pointed at the planning layer
 // built in PRs 1-5: instead of re-running the inspectors (codegen.h's
 // legacy entry points), emission consumes the plan's own inspection sets —
-// the ereach/update chains, supernode extents, panel offsets, and the
-// level schedule are baked into the instruction stream as constants. The
-// pruned-trisolve shape additionally bakes the replayed per-update column
-// cursors (updStart) that the simplicial interpreter chases through its
-// `next` array at run time, so the compiled kernel does strictly less
-// memory traffic than the interpreter on the identical arithmetic.
+// the ereach/update chains, supernode extents and panel offsets are baked
+// into the instruction stream as constants. The pruned-trisolve shape
+// additionally bakes the replayed per-update column cursors (updStart)
+// that the simplicial interpreter chases through its `next` array at run
+// time, so the compiled kernel does strictly less memory traffic than the
+// interpreter on the identical arithmetic.
 //
 // Bit-identity contract: every emitted loop nest reproduces the exact
 // operation order of the interpreting executor (cholesky_executor.cpp /

@@ -223,7 +223,6 @@ void put_evidence(Writer& w, const PlanEvidence& e) {
   w.scalar<double>(e.avg_level_width);
   w.scalar<index_t>(e.agg_levels);
   w.scalar<index_t>(e.agg_tasks);
-  w.scalar<index_t>(e.agg_bundles);
   w.scalar<double>(e.build_seconds);
   w.scalar<std::uint8_t>(e.jit_eligible);
   w.scalar<PlanPhaseTimes>(e.phases);  // 8 doubles, trivially copyable
@@ -238,7 +237,6 @@ void get_evidence(Reader& r, PlanEvidence* e) {
   e->avg_level_width = r.scalar<double>("avg_level_width");
   e->agg_levels = r.scalar<index_t>("agg_levels");
   e->agg_tasks = r.scalar<index_t>("agg_tasks");
-  e->agg_bundles = r.scalar<index_t>("agg_bundles");
   e->build_seconds = r.scalar<double>("build_seconds");
   e->jit_eligible = r.scalar<std::uint8_t>("jit_eligible") != 0;
   e->phases = r.scalar<PlanPhaseTimes>("phases");
@@ -560,7 +558,6 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   agg.vec(plan.agg.level_ptr);
   agg.vec(plan.agg.task_ptr);
   agg.vec(plan.agg.items);
-  agg.vec(plan.agg.bundle);
   sections.emplace_back(kSecAgg, agg.take());
 
   Writer slots;
@@ -646,7 +643,6 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     agg.vec(&plan.agg.level_ptr, "agg.level_ptr");
     agg.vec(&plan.agg.task_ptr, "agg.task_ptr");
     agg.vec(&plan.agg.items, "agg.items");
-    agg.vec(&plan.agg.bundle, "agg.bundle");
     agg.expect_done();
 
     Reader slots = section_reader(sections, kSecSlotMap, "slotmap");
@@ -694,7 +690,6 @@ std::vector<std::uint8_t> serialize_plan(const TriSolvePlan& plan) {
   agg.vec(plan.agg.level_ptr);
   agg.vec(plan.agg.task_ptr);
   agg.vec(plan.agg.items);
-  agg.vec(plan.agg.bundle);
   sections.emplace_back(kSecAgg, agg.take());
 
   Writer slots;
@@ -761,7 +756,6 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     agg.vec(&plan.agg.level_ptr, "agg.level_ptr");
     agg.vec(&plan.agg.task_ptr, "agg.task_ptr");
     agg.vec(&plan.agg.items, "agg.items");
-    agg.vec(&plan.agg.bundle, "agg.bundle");
     agg.expect_done();
 
     Reader slots = section_reader(sections, kSecSlotMap, "slotmap");

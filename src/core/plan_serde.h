@@ -37,7 +37,7 @@
 namespace sympiler::core {
 
 /// Bumped on any layout change; a mismatch loads as kStalePlanVersion.
-inline constexpr std::uint32_t kPlanFormatVersion = 1;
+inline constexpr std::uint32_t kPlanFormatVersion = 2;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

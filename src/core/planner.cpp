@@ -43,7 +43,7 @@ std::string summarize(const char* kind, const PatternKey& key,
        << ", avg level width: " << ev.avg_level_width;
     if (ev.agg_levels > 0)
       os << "\n  coarsened: " << ev.agg_levels << " levels, " << ev.agg_tasks
-         << " tasks, " << ev.agg_bundles << " SIMD bundles";
+         << " chain tasks";
   } else {
     os << "\n  levels: not scheduled (parallel gates closed)";
   }
@@ -130,7 +130,6 @@ std::uint64_t Planner::gate_hash() const {
     }
   };
   mix(static_cast<std::uint64_t>(config_.enable_parallel));
-  mix(static_cast<std::uint64_t>(config_.coarsen_schedule));
   mix(static_cast<std::uint64_t>(config_.parallel_min_supernodes));
   std::uint64_t width_bits = 0;
   static_assert(sizeof(width_bits) ==
@@ -182,7 +181,6 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
   req.build_schedule = parallel_enabled() && config_.enable_parallel;
   req.parallel_min_supernodes = config_.parallel_min_supernodes;
   req.parallel_min_avg_level_width = config_.parallel_min_avg_level_width;
-  req.coarsen = config_.coarsen_schedule;
   req.naive = naive;
   CholeskyPlanProducts products;
   plan.sets = inspect_cholesky_planned(a_lower, config_.options, req,
@@ -217,11 +215,10 @@ CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
         plan.solve_update_map = std::move(products.solve_update_map);
         plan.workspace.update_slots = plan.solve_update_map.slots();
         // Dependence-coarsened rewrite (chain fusion over the supernodal
-        // update dependences) — interpreted in place of the flat levels.
+        // update dependences) — the schedule the executors interpret.
         plan.agg = std::move(products.agg);
         ev.agg_levels = plan.agg.levels();
         ev.agg_tasks = plan.agg.tasks();
-        ev.agg_bundles = plan.agg.bundles();
       }
     }
   }
@@ -295,15 +292,12 @@ TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
       plan.update_map = parallel::update_slots_columns(l, plan.sets.reach);
       plan.workspace.update_slots = plan.update_map.slots();
       plan.workspace.rhs_block = kRhsBlockWidth;
-      if (config_.coarsen_schedule) {
-        // Coarsen the committed flat schedule: chain fusion + SIMD row
-        // bundles mined from DG_L. Pattern-pure, so cached with the plan;
-        // the flat schedule stays as provenance and ablation baseline.
-        plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
-        ev.agg_levels = plan.agg.levels();
-        ev.agg_tasks = plan.agg.tasks();
-        ev.agg_bundles = plan.agg.bundles();
-      }
+      // Coarsen the committed flat schedule into chains mined from DG_L —
+      // the schedule the executors interpret. Pattern-pure, so cached with
+      // the plan; the flat schedule stays as verified provenance.
+      plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
+      ev.agg_levels = plan.agg.levels();
+      ev.agg_tasks = plan.agg.tasks();
     }
   }
   ev.jit_eligible = plan.path == ExecutionPath::PrunedTriSolve ||

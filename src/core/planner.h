@@ -3,9 +3,10 @@
 // The planning layer absorbs every decision that used to be scattered
 // across api::Solver and the executors: it runs the inspector (the
 // near-linear single-transpose cold pipeline of inspect_cholesky_planned),
-// builds the level-set schedule when the parallel gates clear, and commits
-// to one ExecutionPath with the profitability evidence recorded in the
-// plan. Planning is a pure function of (pattern, PlannerConfig), which is
+// builds the level-set schedule when the parallel gates clear — coarsened
+// into the chain-fused AggregateSchedule the parallel executors run — and
+// commits to one ExecutionPath with the profitability evidence recorded in
+// the plan. Planning is a pure function of (pattern, PlannerConfig), which is
 // what makes plans cacheable and shareable across Solvers and threads.
 //
 // A finished plan has two kinds of consumer: the interpreters (executors
@@ -39,11 +40,6 @@ struct PlannerConfig {
   /// enough average levels to beat the barrier cost per level.
   index_t parallel_min_supernodes = 256;
   double parallel_min_avg_level_width = 8.0;
-  /// Rewrite committed parallel schedules into the dependence-coarsened
-  /// AggregateSchedule (chain fusion + SIMD row bundles — see
-  /// parallel/schedule.h). Off keeps the flat schedule, which the bench
-  /// ablations and bit-identity tests compare against.
-  bool coarsen_schedule = true;
 };
 
 class Planner {

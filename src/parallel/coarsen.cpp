@@ -1,7 +1,7 @@
 // Schedule coarsening: rewrite a flat level schedule into the aggregate
-// chain/bundle schedule (parallel/schedule.h) by mining the actual
-// dependence DAG, in the spirit of dependency-driven trace analysis
-// (Cetinic et al., PAPERS.md).
+// chain schedule (parallel/schedule.h) by mining the actual dependence
+// DAG, in the spirit of dependency-driven trace analysis (Cetinic et al.,
+// PAPERS.md).
 //
 // Chain rule. A run is a sequence of items, one per consecutive flat
 // level. Item i at flat level l extends the run R = [m_s .. m_{l-1}]
@@ -20,20 +20,12 @@
 // Determinism is untouched: the UpdateSlotMap fixes every row's fold
 // order independently of the execution schedule, and a run executes its
 // members in the exact flat-level order on one thread.
-//
-// Bundle rule. Within an aggregate level, singleton tasks are mutually
-// independent; those with identical sparsity shape (incoming-term count,
-// update count) are grouped into lock-step bundles of kBundleMax lanes
-// (kBundleMin at the tail) for the SIMD bundle kernels (blas/bundle.h).
-// Per lane the kernels replay the scalar operation sequence exactly, so
-// lane parallelism changes data movement only, never any element's bits.
 #include <algorithm>
-#include <cstdint>
-#include <numeric>
 
 #include "graph/etree.h"
 #include "graph/supernodes.h"
 #include "parallel/schedule.h"
+#include "solvers/supernodal.h"
 
 namespace sympiler::parallel {
 
@@ -49,14 +41,11 @@ std::vector<index_t> item_levels(const LevelSchedule& flat) {
 }
 
 /// Core coarsener over an explicit in-edge list. `rank` is a permutation
-/// rank ordering tasks (and bundle lanes) within each aggregate level;
-/// `shape` keys lock-step compatibility (shape < 0 exempts an item from
-/// bundling — the supernodal caller exempts everything).
+/// rank ordering tasks within each aggregate level.
 AggregateSchedule coarsen(const LevelSchedule& flat,
                           std::span<const index_t> dep_ptr,
                           std::span<const index_t> dep_src,
                           std::span<const index_t> rank,
-                          std::span<const std::int64_t> shape,
                           const CoarsenOptions& opt) {
   AggregateSchedule agg;
   const auto count = static_cast<index_t>(flat.items.size());
@@ -142,52 +131,18 @@ AggregateSchedule coarsen(const LevelSchedule& flat,
               level_runs.begin() + level_run_ptr[l + 1],
               [&](index_t a, index_t b) { return rank[head(a)] < rank[head(b)]; });
 
-  // --- emit tasks: chains in rank order, then lock-step bundles -------
+  // --- emit tasks: chains in rank order --------------------------------
   agg.level_ptr.assign(1, 0);
   agg.task_ptr.assign(1, 0);
   agg.items.reserve(static_cast<std::size_t>(count));
-  std::vector<index_t> lanes;  // bundle candidates of the current level
-  const auto emit_task = [&](std::span<const index_t> task_items,
-                             bool is_bundle) {
-    agg.items.insert(agg.items.end(), task_items.begin(), task_items.end());
-    agg.task_ptr.push_back(static_cast<index_t>(agg.items.size()));
-    agg.bundle.push_back(is_bundle ? 1 : 0);
-  };
   for (index_t l = 0; l < nlevels; ++l) {
-    lanes.clear();
     for (index_t t = level_run_ptr[l]; t < level_run_ptr[l + 1]; ++t) {
       const index_t r = level_runs[t];
-      const index_t b0 = member_ptr[r], b1 = member_ptr[r + 1];
-      if (opt.bundles && b1 - b0 == 1 && shape[members[b0]] >= 0)
-        lanes.push_back(members[b0]);  // bundle candidate, decided below
-      else
-        emit_task({members.data() + b0, static_cast<std::size_t>(b1 - b0)},
-                  false);
+      agg.items.insert(agg.items.end(), members.begin() + member_ptr[r],
+                       members.begin() + member_ptr[r + 1]);
+      agg.task_ptr.push_back(static_cast<index_t>(agg.items.size()));
     }
-    // Group candidates by shape (stable in rank order within a shape);
-    // full-width bundles first, one tail bundle >= kBundleMin, leftovers
-    // fall back to singleton chains.
-    std::stable_sort(lanes.begin(), lanes.end(), [&](index_t a, index_t b) {
-      return shape[a] < shape[b];
-    });
-    std::size_t g0 = 0;
-    while (g0 < lanes.size()) {
-      std::size_t g1 = g0;
-      while (g1 < lanes.size() && shape[lanes[g1]] == shape[lanes[g0]]) ++g1;
-      std::size_t k = g0;
-      while (g1 - k >= static_cast<std::size_t>(kBundleMax)) {
-        emit_task({lanes.data() + k, static_cast<std::size_t>(kBundleMax)},
-                  true);
-        k += static_cast<std::size_t>(kBundleMax);
-      }
-      if (g1 - k >= static_cast<std::size_t>(kBundleMin)) {
-        emit_task({lanes.data() + k, g1 - k}, true);
-        k = g1;
-      }
-      for (; k < g1; ++k) emit_task({lanes.data() + k, 1}, false);
-      g0 = g1;
-    }
-    agg.level_ptr.push_back(static_cast<index_t>(agg.task_ptr.size()) - 1);
+    agg.level_ptr.push_back(level_run_ptr[l + 1]);
   }
   return agg;
 }
@@ -223,30 +178,25 @@ AggregateSchedule coarsen_schedule_columns(const CscMatrix& l,
   const std::vector<index_t> post = postorder(parent);
   std::vector<index_t> rank(static_cast<std::size_t>(n));
   for (index_t k = 0; k < n; ++k) rank[post[k]] = k;
-  // Lock-step shape: (incoming-term count, column update count).
-  std::vector<std::int64_t> shape(static_cast<std::size_t>(n));
-  for (index_t j = 0; j < n; ++j)
-    shape[j] = (static_cast<std::int64_t>(dep_ptr[j + 1] - dep_ptr[j]) << 32) |
-               static_cast<std::int64_t>(l.col_end(j) - l.col_begin(j) - 1);
-  return coarsen(flat, dep_ptr, dep_src, rank, shape, opt);
+  return coarsen(flat, dep_ptr, dep_src, rank, opt);
 }
 
 AggregateSchedule coarsen_schedule_supernodes(
     const SupernodePartition& sn, std::span<const index_t> parent,
-    std::span<const index_t> dep_ptr, std::span<const index_t> dep_src,
-    const LevelSchedule& flat, const CoarsenOptions& opt) {
+    const solvers::UpdateLists& updates, const LevelSchedule& flat,
+    const CoarsenOptions& opt) {
   const auto nsuper = static_cast<index_t>(flat.items.size());
-  SYMPILER_CHECK(static_cast<index_t>(dep_ptr.size()) == nsuper + 1,
-                 "coarsen_schedule_supernodes: dependence list size mismatch");
+  SYMPILER_CHECK(static_cast<index_t>(updates.ptr.size()) == nsuper + 1,
+                 "coarsen_schedule_supernodes: update list size mismatch");
+  // In-edges of supernode s: the descendants in its update list.
+  std::vector<index_t> dep_src(updates.refs.size());
+  for (std::size_t u = 0; u < updates.refs.size(); ++u)
+    dep_src[u] = updates.refs[u].d;
   const std::vector<index_t> sparent = supernode_etree(sn, parent);
   const std::vector<index_t> post = postorder(sparent);
   std::vector<index_t> rank(static_cast<std::size_t>(nsuper));
   for (index_t k = 0; k < nsuper; ++k) rank[post[k]] = k;
-  // Chains only: panel tasks are never lock-stepped (shape < 0 for all).
-  const std::vector<std::int64_t> shape(static_cast<std::size_t>(nsuper), -1);
-  CoarsenOptions chain_only = opt;
-  chain_only.bundles = false;
-  return coarsen(flat, dep_ptr, dep_src, rank, shape, chain_only);
+  return coarsen(flat, updates.ptr, dep_src, rank, opt);
 }
 
 }  // namespace sympiler::parallel

@@ -18,6 +18,7 @@
 
 namespace sympiler::solvers {
 struct SupernodalLayout;  // solvers/supernodal.h
+struct UpdateLists;
 }  // namespace sympiler::solvers
 
 namespace sympiler::parallel {
@@ -46,18 +47,16 @@ struct LevelSchedule {
 };
 
 /// Dependence-coarsened (aggregate) schedule: the flat level schedule
-/// rewritten into super-tasks mined from the actual dependence DAG.
+/// rewritten into tasks mined from the actual dependence DAG — the only
+/// schedule the parallel executors (levelset.h) interpret.
 ///
-/// Two task kinds:
-///  - **chain** (`bundle[t] == 0`): a run of items, one per consecutive
-///    flat level, where every dependence of a member is either the run
-///    member one flat level below it or lives at a flat level before the
-///    run started. The run executes sequentially on one thread — the
-///    barrier cascade of those flat levels collapses into ordinary
-///    program order. A singleton item is a length-1 chain.
-///  - **bundle** (`bundle[t] == 1`): 2..kBundleMax mutually independent
-///    items of identical sparsity shape at the same aggregate level,
-///    executed lock-step by the SIMD bundle kernels (blas/bundle.h).
+/// A task is a **chain**: a run of items, one per consecutive flat level,
+/// where every dependence of a member is either the run member one flat
+/// level below it or lives at a flat level before the run started. The
+/// run executes sequentially on one thread — the barrier cascade of those
+/// flat levels collapses into ordinary program order. A singleton item is
+/// a length-1 chain, so the flat schedule itself is the degenerate
+/// aggregate of singleton tasks (CoarsenOptions::chains off).
 ///
 /// Aggregate level of a task = the flat level of its first item; tasks
 /// within an aggregate level are mutually independent (a dependence into
@@ -69,10 +68,9 @@ struct LevelSchedule {
 /// is untouched because the UpdateSlotMap fold order never depends on the
 /// execution schedule.
 struct AggregateSchedule {
-  std::vector<index_t> level_ptr;   ///< size nlevels + 1, into tasks
-  std::vector<index_t> task_ptr;    ///< size ntasks + 1, into items
-  std::vector<index_t> items;       ///< permutation of items, task-major
-  std::vector<std::uint8_t> bundle; ///< per task: 1 = lock-step bundle
+  std::vector<index_t> level_ptr;  ///< size nlevels + 1, into tasks
+  std::vector<index_t> task_ptr;   ///< size ntasks + 1, into items
+  std::vector<index_t> items;      ///< permutation of items, task-major
 
   [[nodiscard]] index_t levels() const {
     return level_ptr.empty()
@@ -83,30 +81,19 @@ struct AggregateSchedule {
     return task_ptr.empty() ? 0 : static_cast<index_t>(task_ptr.size()) - 1;
   }
   [[nodiscard]] bool empty() const { return items.empty(); }
-  [[nodiscard]] index_t bundles() const {
-    index_t c = 0;
-    for (const std::uint8_t b : bundle) c += b;
-    return c;
-  }
   /// Heap bytes of the schedule arrays (plan-size accounting).
   [[nodiscard]] std::size_t bytes() const {
     return (level_ptr.size() + task_ptr.size() + items.size()) *
-               sizeof(index_t) +
-           bundle.size() * sizeof(std::uint8_t);
+           sizeof(index_t);
   }
 };
 
-/// Which coarsening rewrites to apply (bench ablations run them
-/// separately; the Planner applies both).
+/// Coarsening switches. The Planner always fuses chains; with chains off
+/// the coarsener emits one singleton task per item — the flat ablation
+/// that benches and tests run through the same interpreter.
 struct CoarsenOptions {
-  bool chains = true;   ///< fuse dependence runs into sequential chains
-  bool bundles = true;  ///< group same-shape independent rows lock-step
+  bool chains = true;  ///< fuse dependence runs into sequential chains
 };
-
-/// Widest SIMD bundle the coarsener emits and the bundle kernels accept.
-inline constexpr index_t kBundleMax = 8;
-/// Narrowest group worth bundling (below this, lanes stay chain items).
-inline constexpr index_t kBundleMin = 4;
 
 /// Privatized cross-item update map: the symbolic product that makes the
 /// level-set solves deterministic. Every off-diagonal update a source item
@@ -166,25 +153,23 @@ struct UpdateSlotMap {
 [[nodiscard]] LevelSchedule level_schedule_supernodes(
     const SupernodePartition& sn, std::span<const index_t> parent);
 
-/// Coarsen a flat column level schedule of DG_L into chains + SIMD
-/// bundles (see AggregateSchedule). Tasks within each aggregate level are
-/// ordered by the postorder rank of their head column in the solve etree
-/// (parent(j) = first off-diagonal row of column j), so runs and bundles
-/// that execute together are contiguous in memory; bundles group
-/// postorder-adjacent columns of equal (incoming-term, update) counts.
-/// Deterministic pure pattern function — naive and fast plans share it.
+/// Coarsen a flat column level schedule of DG_L into chains (see
+/// AggregateSchedule). Tasks within each aggregate level are ordered by
+/// the postorder rank of their head column in the solve etree
+/// (parent(j) = first off-diagonal row of column j), so runs that execute
+/// together are contiguous in memory. Deterministic pure pattern function
+/// — naive and fast plans share it.
 [[nodiscard]] AggregateSchedule coarsen_schedule_columns(
     const CscMatrix& l, const LevelSchedule& flat,
     const CoarsenOptions& opt = {});
 
-/// Coarsen the supernodal level schedule: chain fusion only (supernode
-/// shapes are too irregular to lock-step), runs mined from the update
-/// lists' dependence structure, tasks postordered by the supernodal
-/// etree. Items are supernode ids; `updates` is the plan's static update
-/// schedule (solvers::UpdateLists flattened as ptr/refs source ids).
+/// Coarsen the supernodal level schedule: runs mined from the static
+/// update lists' dependence structure (target s depends on every
+/// descendant in its list), tasks postordered by the supernodal etree.
+/// Items are supernode ids.
 [[nodiscard]] AggregateSchedule coarsen_schedule_supernodes(
     const SupernodePartition& sn, std::span<const index_t> parent,
-    std::span<const index_t> dep_ptr, std::span<const index_t> dep_src,
-    const LevelSchedule& flat, const CoarsenOptions& opt = {});
+    const solvers::UpdateLists& updates, const LevelSchedule& flat,
+    const CoarsenOptions& opt = {});
 
 }  // namespace sympiler::parallel

@@ -7,9 +7,9 @@
 // re-verify <= 0.5x cold planning, bench/cache_reuse.cpp) leaves no room
 // for a table-driven byte loop there.
 //
-// Dispatch follows the blas bundle-kernel idiom (blas/bundle_scalar.cpp):
-// one runtime __builtin_cpu_supports probe selects the hardware path,
-// falling back to portable slicing-by-8. Both paths compute the identical
+// Dispatch: one runtime __builtin_cpu_supports probe (cpuid once, at
+// first use) selects the hardware path, falling back to portable
+// slicing-by-8. Both paths compute the identical
 // function — pinned by a known-answer test plus an equivalence sweep in
 // tests/test_persistence.cpp — so files written on one machine validate
 // on any other.

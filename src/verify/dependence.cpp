@@ -1,6 +1,7 @@
 // kStructure + kDependence passes: inspection-set internal consistency,
 // and legality of the flat/coarsened schedules against the dependence
-// relation recomputed from those sets.
+// relation recomputed from those sets (the flat schedule is the
+// coarsener's provenance, the aggregate is what the executors run).
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -30,10 +31,9 @@ std::uint64_t mix_pair(index_t i, index_t j) {
 // The verifier's hot loops are branchless single-pass integer sweeps, but
 // the 64-bit multiply in mix_pair only vectorizes from AVX2 up, and only
 // AVX-512DQ (x86-64-v4) has a native 64-bit vector multiply (vpmullq) —
-// worth another ~1.4x on the pattern hashes. Following the cpuid-gated
-// ISA tiering of blas/bundle_scalar.cpp, clone just these helpers per
-// ISA — ifunc dispatch picks the widest supported tier at load time and
-// everything else stays baseline x86-64.
+// worth another ~1.4x on the pattern hashes. Clone just these helpers
+// per ISA — ifunc dispatch (cpuid at load time) picks the widest
+// supported tier and everything else stays baseline x86-64.
 #if defined(__x86_64__)
 #define SYMPILER_VERIFY_ISA \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
@@ -274,6 +274,22 @@ bool check_updates(Checker& c, const solvers::SupernodalLayout& layout,
   return true;
 }
 
+/// The aggregate schedule of a plan: the only schedule the parallel
+/// executors interpret, so a parallel plan must carry one covering every
+/// item ("agg.missing"); a present one is validated structurally. Returns
+/// an unusable order when there is nothing to replay.
+ItemOrder check_aggregate(Checker& c, const parallel::AggregateSchedule& agg,
+                          index_t count, bool parallel) {
+  if (!agg.empty()) return check_agg_schedule(c, agg, count);
+  if (parallel && count > 0) {
+    c.note();
+    c.fail("agg.missing", -1,
+           cat("parallel plan carries no aggregate schedule over its ", count,
+               " items — the only schedule its executors interpret"));
+  }
+  return {};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Cholesky
@@ -411,7 +427,9 @@ void check_structure(Report& report, const core::CholeskyPlan& plan) {
 
 void check_dependence(Report& report, const core::CholeskyPlan& plan) {
   Checker c(report, Pass::kDependence);
-  if (plan.schedule.empty() && plan.agg.empty()) return;  // sequential plan
+  const bool parallel = plan.path == core::ExecutionPath::ParallelSupernodal;
+  if (!parallel && plan.schedule.empty() && plan.agg.empty())
+    return;  // sequential plan
 
   const solvers::SupernodalLayout& layout = plan.sets.layout;
   c.note();
@@ -429,16 +447,7 @@ void check_dependence(Report& report, const core::CholeskyPlan& plan) {
   }
 
   const ItemOrder flat = check_flat_schedule(c, plan.schedule, nsuper);
-  ItemOrder agg;
-  const bool has_agg = !plan.agg.empty();
-  if (has_agg) {
-    agg = check_agg_schedule(c, plan.agg, nsuper);
-    c.note();
-    if (plan.agg.bundles() > 0)
-      c.fail("agg.bundle-unsupported", -1,
-             "supernodal coarsening is chain-only; no bundle kernels exist "
-             "for supernode panels");
-  }
+  const ItemOrder agg = check_aggregate(c, plan.agg, nsuper, parallel);
 
   // Every update edge d -> s must complete strictly before its target
   // starts, under the flat barriers and under the coarsened ones.
@@ -490,7 +499,7 @@ void check_dependence(Report& report, const core::CholeskyPlan& plan) {
     check_edges(flat, "dep.update-edge");
     check_row_owners(flat, "dep.row-owner");
   }
-  if (has_agg && agg.usable) {
+  if (agg.usable) {
     check_edges(agg, "dep.update-edge-agg");
     check_row_owners(agg, "dep.row-owner-agg");
     if (flat.usable) {
@@ -499,9 +508,6 @@ void check_dependence(Report& report, const core::CholeskyPlan& plan) {
       // the barrier sequence they were mined from.
       c.note();
       for (index_t t = 0; t < plan.agg.tasks(); ++t) {
-        if (t < static_cast<index_t>(plan.agg.bundle.size()) &&
-            plan.agg.bundle[t] != 0)
-          continue;
         bool bad = false;
         for (index_t q = plan.agg.task_ptr[t] + 1;
              q < plan.agg.task_ptr[t + 1]; ++q) {
@@ -684,13 +690,12 @@ void check_structure(Report& report, const core::TriSolvePlan& plan,
 void check_dependence(Report& report, const core::TriSolvePlan& plan,
                       const CscMatrix& l) {
   Checker c(report, Pass::kDependence);
-  if (plan.schedule.empty() && plan.agg.empty()) return;
+  const bool parallel = plan.path == core::ExecutionPath::ParallelTriSolve;
+  if (!parallel && plan.schedule.empty() && plan.agg.empty()) return;
 
   const index_t n = l.cols();
   const ItemOrder flat = check_flat_schedule(c, plan.schedule, n);
-  ItemOrder agg;
-  const bool has_agg = !plan.agg.empty();
-  if (has_agg) agg = check_agg_schedule(c, plan.agg, n);
+  const ItemOrder agg = check_aggregate(c, plan.agg, n, parallel);
 
   // Every DG_L edge j -> i (L(i, j) != 0, i > j) is a dependence of the
   // forward solve: x[j] must be final before column j updates x[i].
@@ -712,71 +717,21 @@ void check_dependence(Report& report, const core::TriSolvePlan& plan,
   };
 
   if (flat.usable) check_edges(flat, "dep.edge");
-  if (has_agg && agg.usable) {
+  if (agg.usable) {
     check_edges(agg, "dep.edge-agg");
-
     if (flat.usable) {
       c.note();
       bool clean = true;
       for (index_t t = 0; t < plan.agg.tasks() && clean; ++t) {
-        const bool bundled = plan.agg.bundle[t] != 0;
         for (index_t q = plan.agg.task_ptr[t] + 1;
              q < plan.agg.task_ptr[t + 1] && clean; ++q) {
           const index_t a = plan.agg.items[q - 1];
           const index_t b = plan.agg.items[q];
-          if (bundled && flat.level[b] != flat.level[a])
-            clean = c.fail("agg.bundle-level", t,
-                           cat("bundle lanes ", a, " and ", b,
-                               " sit on different flat levels (", flat.level[a],
-                               " vs ", flat.level[b], ")"));
-          else if (!bundled && flat.level[b] != flat.level[a] + 1)
+          if (flat.level[b] != flat.level[a] + 1)
             clean = c.fail("agg.chain-consecutive", t,
                            cat("chain jumps flat levels ", flat.level[a],
                                " -> ", flat.level[b], " between columns ", a,
                                " and ", b));
-        }
-      }
-    }
-
-    // Bundle lanes run lock-step: they must be pairwise independent (no
-    // DG_L edge between lanes) and shape-homogeneous (equal incoming-term
-    // and update counts — the bundle kernels' layout contract).
-    c.note();
-    std::vector<index_t> indeg(static_cast<std::size_t>(n), 0);
-    for (index_t j = 0; j < n; ++j)
-      for (index_t p = l.col_begin(j); p < l.col_end(j); ++p) {
-        const index_t i = l.rowind[p];
-        if (i > j && i < n) ++indeg[i];
-      }
-    std::vector<index_t> member_of(static_cast<std::size_t>(n), -1);
-    bool clean = true;
-    for (index_t t = 0; t < plan.agg.tasks() && clean; ++t) {
-      if (plan.agg.bundle[t] == 0) continue;
-      const index_t qb = plan.agg.task_ptr[t], qe = plan.agg.task_ptr[t + 1];
-      for (index_t q = qb; q < qe; ++q) {
-        const index_t j = plan.agg.items[q];
-        if (j >= 0 && j < n) member_of[j] = t;
-      }
-      index_t in0 = -1, out0 = -1;
-      for (index_t q = qb; q < qe && clean; ++q) {
-        const index_t j = plan.agg.items[q];
-        if (j < 0 || j >= n) continue;
-        const index_t out = l.col_end(j) - l.col_begin(j) - 1;
-        if (q == qb) {
-          in0 = indeg[j];
-          out0 = out;
-        } else if (indeg[j] != in0 || out != out0) {
-          clean = c.fail("agg.bundle-shape", t,
-                         cat("lane ", j, " shape (", indeg[j], " in, ", out,
-                             " out) differs from lane ", plan.agg.items[qb],
-                             " (", in0, " in, ", out0, " out)"));
-        }
-        for (index_t p = l.col_begin(j); p < l.col_end(j) && clean; ++p) {
-          const index_t i = l.rowind[p];
-          if (i > j && i < n && member_of[i] == t)
-            clean = c.fail("agg.bundle-dependent", t,
-                           cat("lane ", i, " depends on lane ", j,
-                               " within one lock-step bundle"));
         }
       }
     }

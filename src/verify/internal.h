@@ -57,18 +57,16 @@ class Checker {
 /// Happens-before order of schedule items, derived from a validated flat
 /// or aggregate schedule. `before(a, b)` = a completes before b starts in
 /// *every* execution of the schedule: a strictly earlier barrier level, or
-/// an earlier position within the same sequential chain. Bundle members
-/// run lock-step, so they are ordered only by level.
+/// an earlier position within the same sequential chain.
 struct ItemOrder {
-  std::vector<index_t> level;         ///< barrier level of each item
-  std::vector<index_t> task;          ///< owning task (flat: == level)
-  std::vector<index_t> pos;           ///< position within the task
-  std::vector<std::uint8_t> bundled;  ///< item sits in a lock-step bundle
-  bool usable = false;  ///< schedule was structurally valid
+  std::vector<index_t> level;  ///< barrier level of each item
+  std::vector<index_t> task;   ///< owning task (flat: one per item)
+  std::vector<index_t> pos;    ///< position within the task
+  bool usable = false;         ///< schedule was structurally valid
 
   [[nodiscard]] bool before(index_t a, index_t b) const {
     if (level[a] != level[b]) return level[a] < level[b];
-    return task[a] == task[b] && bundled[a] == 0 && pos[a] < pos[b];
+    return task[a] == task[b] && pos[a] < pos[b];
   }
 };
 
@@ -79,8 +77,8 @@ struct ItemOrder {
     Checker& c, const parallel::LevelSchedule& schedule, index_t count);
 
 /// Validate an AggregateSchedule over `count` items (level_ptr/task_ptr
-/// monotone and aligned, items a permutation, bundle sizes within
-/// [2, kBundleMax]) and build its ItemOrder. Findings go under "agg.*".
+/// monotone and aligned, items a permutation) and build its ItemOrder.
+/// Findings go under "agg.*".
 [[nodiscard]] ItemOrder check_agg_schedule(
     Checker& c, const parallel::AggregateSchedule& agg, index_t count);
 

@@ -63,30 +63,26 @@ bool reorder_fold(parallel::UpdateSlotMap& m) {
   return false;
 }
 
-/// Flip a multi-item chain task into a bundle: its members occupy
-/// consecutive levels precisely because they depend on each other, so the
-/// "bundle" now runs dependent work lock-step.
-bool flip_chain_to_bundle(parallel::AggregateSchedule& agg) {
+/// Swap two adjacent members inside a multi-item chain task: the chain's
+/// sequential execution now runs a consumer before the producer it was
+/// fused with (the coarsener bug class races.chain-order diagnoses).
+bool reorder_chain(parallel::AggregateSchedule& agg) {
   for (index_t t = 0; t < agg.tasks(); ++t) {
-    if (agg.bundle[t] == 0 && agg.task_ptr[t + 1] - agg.task_ptr[t] >= 2) {
-      agg.bundle[t] = 1;
+    if (agg.task_ptr[t + 1] - agg.task_ptr[t] >= 2) {
+      std::swap(agg.items[agg.task_ptr[t]], agg.items[agg.task_ptr[t] + 1]);
       return true;
     }
   }
   return false;
 }
 
-/// Swap two adjacent members inside a multi-item chain task: the chain's
-/// sequential execution now runs a consumer before the producer it was
-/// fused with (the coarsener bug class races.chain-order diagnoses).
-bool reorder_chain(parallel::AggregateSchedule& agg) {
-  for (index_t t = 0; t < agg.tasks(); ++t) {
-    if (agg.bundle[t] == 0 && agg.task_ptr[t + 1] - agg.task_ptr[t] >= 2) {
-      std::swap(agg.items[agg.task_ptr[t]], agg.items[agg.task_ptr[t] + 1]);
-      return true;
-    }
-  }
-  return false;
+/// Empty the aggregate schedule, as a planner that forgot to coarsen would:
+/// the executors interpret nothing else, so the plan has no runnable
+/// schedule left.
+bool drop_aggregate(parallel::AggregateSchedule& agg) {
+  if (agg.empty()) return false;
+  agg = parallel::AggregateSchedule{};
+  return true;
 }
 
 /// Drop the last scheduled item: the schedule still looks well-formed but
@@ -108,8 +104,6 @@ const char* to_string(Corruption c) {
       return "aliased-slot";
     case Corruption::kReorderedFold:
       return "reordered-fold";
-    case Corruption::kCrossDependentBundle:
-      return "cross-dependent-bundle";
     case Corruption::kOutOfBoundsIndex:
       return "out-of-bounds-index";
     case Corruption::kWorkspaceTrim:
@@ -118,6 +112,8 @@ const char* to_string(Corruption c) {
       return "schedule-gap";
     case Corruption::kChainReorder:
       return "chain-reorder";
+    case Corruption::kDroppedAggregate:
+      return "dropped-aggregate";
   }
   return "?";
 }
@@ -181,8 +177,6 @@ bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
     }
     case Corruption::kReorderedFold:
       return reorder_fold(plan.solve_update_map);
-    case Corruption::kCrossDependentBundle:
-      return !plan.agg.empty() && flip_chain_to_bundle(plan.agg);
     case Corruption::kOutOfBoundsIndex: {
       if (has_layout && !sets.layout.srows.empty()) {
         sets.layout.srows.back() = n + 5;
@@ -218,6 +212,8 @@ bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
       return drop_schedule_item(plan.schedule);
     case Corruption::kChainReorder:
       return !plan.agg.empty() && reorder_chain(plan.agg);
+    case Corruption::kDroppedAggregate:
+      return drop_aggregate(plan.agg);
   }
   return false;
 }
@@ -275,8 +271,6 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
     }
     case Corruption::kReorderedFold:
       return reorder_fold(plan.update_map);
-    case Corruption::kCrossDependentBundle:
-      return !plan.agg.empty() && flip_chain_to_bundle(plan.agg);
     case Corruption::kOutOfBoundsIndex: {
       if (!sets.reach.empty()) {
         sets.reach[0] = n + 9;
@@ -316,6 +310,8 @@ bool PlanMutator::apply(core::TriSolvePlan& plan, const CscMatrix& l,
     }
     case Corruption::kChainReorder:
       return !plan.agg.empty() && reorder_chain(plan.agg);
+    case Corruption::kDroppedAggregate:
+      return drop_aggregate(plan.agg);
   }
   return false;
 }

@@ -4,9 +4,9 @@
 // Each Corruption is one class of invariant violation the verifier must
 // catch — a schedule that runs a consumer before its producer, two
 // producers aliased onto one slot, a fold sequence that diverges from the
-// serial order, a bundle whose lanes depend on each other, a baked index
-// past its extent, a workspace trimmed below what the executors touch, a
-// schedule that silently drops work. apply() mutates the plan in place the
+// serial order, a baked index past its extent, a workspace trimmed below
+// what the executors touch, a schedule that silently drops work, a
+// parallel plan without the aggregate schedule its executors run. apply() mutates the plan in place the
 // way a real Planner/scheduler bug would, returning false when the class
 // does not apply to the plan's execution path (a sequential plan has no
 // slots to alias). The kill matrix in tests/test_verify.cpp asserts
@@ -26,11 +26,11 @@ enum class Corruption {
   kDepViolation,          // consumer scheduled at/before its producer
   kAliasedSlot,           // two producers write one slot / duplicated dep
   kReorderedFold,         // fold sequence diverges from serial order
-  kCrossDependentBundle,  // SIMD bundle lanes with a dependence edge
   kOutOfBoundsIndex,      // structural index past its extent
   kWorkspaceTrim,         // workspace dims below the executors' reach
   kScheduleGap,           // schedule silently drops an item
   kChainReorder,          // chain task members swapped out of dep order
+  kDroppedAggregate,      // parallel plan loses its aggregate schedule
 };
 
 const char* to_string(Corruption c);

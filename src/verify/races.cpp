@@ -163,8 +163,8 @@ void check_races(Report& report, const core::CholeskyPlan& plan) {
   // its consumer may legally share one aggregate *chain* task — the chain
   // runs its members sequentially, so the dependence is honored by member
   // order instead of a barrier. Check that sequencing as its own family:
-  // same-task pairs must sit in an unbundled task with the producer at a
-  // strictly earlier member position. The generic happens-before check
+  // same-task pairs must have the producer at a strictly earlier member
+  // position. The generic happens-before check
   // subsumes the pass/fail, but this one names the chain task and member
   // positions — the coarsener bug class (PR 7) the flattened diagnosis
   // used to hide.
@@ -181,13 +181,6 @@ void check_races(Report& report, const core::CholeskyPlan& plan) {
         const index_t owner = layout.sn.col_to_super[r];
         if (owner < 0 || owner >= nsuper || owner == s) continue;
         if (order.task[s] != order.task[owner]) continue;
-        if (order.bundled[s] != 0) {
-          c.fail("races.chain-order", r,
-                 cat("supernode ", s, " and its consumer ", owner,
-                     " share lock-step bundle task ", order.task[s],
-                     " — bundle lanes cannot sequence a dependence"));
-          return;
-        }
         if (order.pos[s] >= order.pos[owner]) {
           c.fail("races.chain-order", r,
                  cat("chain task ", order.task[s], " runs consumer supernode ",
@@ -323,7 +316,7 @@ void check_races(Report& report, const core::TriSolvePlan& plan,
   };
   // Intra-chain sequencing over DG_L (see the Cholesky counterpart):
   // producer column j and consumer row i sharing one chain task must be
-  // sequenced by member position; a shared bundle can never sequence them.
+  // sequenced by member position.
   const auto check_chain_order = [&](const ItemOrder& ord) {
     if (!ord.usable) return;
     c.note();
@@ -332,13 +325,6 @@ void check_races(Report& report, const core::TriSolvePlan& plan,
         const index_t i = l.rowind[p];
         if (i <= j || i >= n) continue;
         if (ord.task[j] != ord.task[i]) continue;
-        if (ord.bundled[j] != 0) {
-          c.fail("races.chain-order", i,
-                 cat("column ", j, " and its consumer row ", i,
-                     " share lock-step bundle task ", ord.task[j],
-                     " — bundle lanes cannot sequence a dependence"));
-          return;
-        }
         if (ord.pos[j] >= ord.pos[i]) {
           c.fail("races.chain-order", i,
                  cat("chain task ", ord.task[j], " runs consumer row ", i,

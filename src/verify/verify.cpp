@@ -71,7 +71,6 @@ ItemOrder check_flat_schedule(Checker& c,
   order.level.assign(count, -1);
   order.task.assign(count, 0);
   order.pos.assign(count, 0);
-  order.bundled.assign(count, 0);
   for (index_t lv = 0; lv < schedule.levels(); ++lv) {
     for (index_t p = schedule.level_ptr[lv]; p < schedule.level_ptr[lv + 1];
          ++p) {
@@ -104,11 +103,9 @@ ItemOrder check_agg_schedule(Checker& c,
   const index_t ntasks = agg.tasks();
   c.note();
   if (agg.task_ptr.empty() || agg.task_ptr.front() != 0 ||
-      agg.task_ptr.back() != count ||
-      static_cast<index_t>(agg.bundle.size()) != ntasks) {
+      agg.task_ptr.back() != count) {
     c.fail("agg.task-ptr", -1,
-           cat("task_ptr must start at 0 and end at ", count,
-               " with one bundle flag per task"));
+           cat("task_ptr must start at 0 and end at ", count));
     return order;
   }
   for (std::size_t v = 1; v < agg.task_ptr.size(); ++v) {
@@ -142,7 +139,6 @@ ItemOrder check_agg_schedule(Checker& c,
   order.level.assign(count, -1);
   order.task.assign(count, 0);
   order.pos.assign(count, 0);
-  order.bundled.assign(count, 0);
   for (index_t lv = 0; lv < agg.levels(); ++lv) {
     for (index_t t = agg.level_ptr[lv]; t < agg.level_ptr[lv + 1]; ++t) {
       for (index_t q = agg.task_ptr[t]; q < agg.task_ptr[t + 1]; ++q) {
@@ -162,19 +158,7 @@ ItemOrder check_agg_schedule(Checker& c,
         order.level[item] = lv;
         order.task[item] = t;
         order.pos[item] = q - agg.task_ptr[t];
-        order.bundled[item] = agg.bundle[t];
       }
-    }
-  }
-  c.note();
-  for (index_t t = 0; t < ntasks; ++t) {
-    if (agg.bundle[t] == 0) continue;
-    const index_t size = agg.task_ptr[t + 1] - agg.task_ptr[t];
-    if (size < 2 || size > parallel::kBundleMax) {
-      c.fail("agg.bundle-size", t,
-             cat("bundle of ", size, " lanes outside [2, ",
-                 parallel::kBundleMax, "]"));
-      return order;
     }
   }
   order.usable = true;

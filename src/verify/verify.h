@@ -3,7 +3,7 @@
 // data structures — no numeric code runs.
 //
 // The pipeline's correctness argument is that every transformation —
-// level scheduling, slot-map privatization, chain/bundle coarsening, JIT
+// level scheduling, slot-map privatization, chain coarsening, JIT
 // lowering — preserves the semantics fixed by the symbolic analysis.
 // Those dependence facts are statically decidable from the inspection
 // sets (Mohammadi et al., PAPERS.md), so instead of sampling them with
@@ -16,9 +16,10 @@
 //  * kDependence — the flat LevelSchedule and the coarsened
 //    AggregateSchedule are legal topological refinements of the
 //    dependence relation recomputed from the sets: every dependence lands
-//    strictly earlier (level, or chain position within one task), chain
-//    members sit on consecutive flat levels, bundle members are pairwise
-//    independent and shape-homogeneous.
+//    strictly earlier (level, or chain position within one task), and
+//    chain members sit on consecutive flat levels. A parallel plan must
+//    carry an aggregate covering every item — the only schedule its
+//    executors interpret.
 //  * kRaces      — a symbolic happens-before replay of the level-set
 //    interpreters over the UpdateSlotMap: every cross-task write lands in
 //    a private slot (write-once), every row's fold sequence equals the

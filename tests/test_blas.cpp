@@ -402,109 +402,13 @@ TEST(MultiRhs, PackRoundTripAndKernelsMatchLoopedSingle) {
   }
 }
 
-// ------------------- SIMD bundle kernels + ISA dispatch (blas/bundle.h)
+// ------------------------------------- cpuid tier probe (blas/bundle.h)
 
-/// Synthetic same-shape bundle: `lanes` consecutive columns 0..lanes-1,
-/// each with a diagonal + `outcount` off-diagonal values and `incount`
-/// incoming terms. The compact off-diagonal slot bases colptr[j] - j are
-/// consecutive, and a shuffled slot array makes the scatter a real one.
-struct BundleFixture {
-  std::vector<index_t> cols, colptr, slot, row_ptr;
-  std::vector<value_t> Lx, x, terms;
-};
-
-BundleFixture make_bundle(index_t lanes, index_t incount, index_t outcount,
-                          std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<value_t> dist(0.5, 2.0);
-  BundleFixture f;
-  for (index_t j = 0; j < lanes; ++j) {
-    f.cols.push_back(j);
-    f.colptr.push_back(j * (1 + outcount));
-    f.row_ptr.push_back(j * incount);
-  }
-  f.colptr.push_back(lanes * (1 + outcount));
-  f.Lx.resize(static_cast<std::size_t>(lanes) * (1 + outcount));
-  for (auto& v : f.Lx) v = dist(rng);
-  f.x.resize(static_cast<std::size_t>(lanes));
-  for (auto& v : f.x) v = dist(rng);
-  // Terms buffer: the incoming region [0, lanes*incount) holds random
-  // privatized terms; the scatter region after it receives the updates
-  // through a shuffled slot permutation.
-  const index_t nin = lanes * incount;
-  const index_t nout = lanes * outcount;
-  f.terms.resize(static_cast<std::size_t>(nin + nout));
-  for (index_t t = 0; t < nin; ++t)
-    f.terms[static_cast<std::size_t>(t)] = dist(rng);
-  for (index_t t = 0; t < nout; ++t) f.slot.push_back(nin + t);
-  std::shuffle(f.slot.begin(), f.slot.end(), rng);
-  return f;
-}
-
-TEST(Bundle, EveryIsaTierMatchesScalarReferenceBitwise) {
-  // The two-tier contract for the bundle kernels: whatever tier cpuid
-  // dispatch lands on, the bits must equal the serial-lane reference —
-  // across every lane count the coarsener emits and shapes with and
-  // without incoming terms / updates.
-  const blas::BundleIsa best = blas::bundle_isa_best();
-  const std::pair<index_t, index_t> shapes[] = {{0, 0}, {0, 5}, {1, 1},
-                                                {3, 0}, {5, 2}, {7, 9}};
-  for (index_t lanes = 1; lanes <= blas::kBundleLanesMax; ++lanes) {
-    for (const auto& [incount, outcount] : shapes) {
-      const BundleFixture f = make_bundle(
-          lanes, incount, outcount,
-          900 + static_cast<std::uint64_t>(lanes) * 100 +
-              static_cast<std::uint64_t>(incount) * 10 +
-              static_cast<std::uint64_t>(outcount));
-      std::vector<value_t> x_ref = f.x, terms_ref = f.terms;
-      blas::trisolve_bundle_ref(lanes, incount, outcount, f.cols.data(),
-                                f.colptr.data(), f.Lx.data(), f.slot.data(),
-                                f.row_ptr.data(), x_ref.data(),
-                                terms_ref.data());
-      for (const blas::BundleIsa isa :
-           {blas::BundleIsa::kScalar, blas::BundleIsa::kAvx2,
-            blas::BundleIsa::kAvx512}) {
-        blas::bundle_isa_force(isa);  // clamped to CPU support
-        std::vector<value_t> x = f.x, terms = f.terms;
-        blas::trisolve_bundle(lanes, incount, outcount, f.cols.data(),
-                              f.colptr.data(), f.Lx.data(), f.slot.data(),
-                              f.row_ptr.data(), x.data(), terms.data());
-        expect_bits_equal(x_ref, x, blas::to_string(blas::bundle_isa_active()));
-        expect_bits_equal(terms_ref, terms,
-                          blas::to_string(blas::bundle_isa_active()));
-      }
-    }
-  }
-  blas::bundle_isa_force(best);  // restore auto dispatch
-}
-
-TEST(Bundle, IsaForceSelectsEachSupportedTierAndClampsAboveCpu) {
-  const blas::BundleIsa best = blas::bundle_isa_best();
-  // Scalar is always forcible; active dispatch follows the force.
-  EXPECT_EQ(blas::bundle_isa_force(blas::BundleIsa::kScalar),
-            blas::BundleIsa::kScalar);
-  EXPECT_EQ(blas::bundle_isa_active(), blas::BundleIsa::kScalar);
-  // Every tier at or below the CPU's best is selected exactly; wider
-  // requests clamp to best (kAvx512 is the widest tier, so the clamp of
-  // forcing it is best itself on every machine).
-  for (const blas::BundleIsa isa :
-       {blas::BundleIsa::kScalar, blas::BundleIsa::kAvx2,
-        blas::BundleIsa::kAvx512}) {
-    const blas::BundleIsa got = blas::bundle_isa_force(isa);
-    if (static_cast<int>(isa) <= static_cast<int>(best))
-      EXPECT_EQ(got, isa) << blas::to_string(isa);
-    else
-      EXPECT_EQ(got, best) << blas::to_string(isa);
-    EXPECT_EQ(blas::bundle_isa_active(), got);
-  }
-  EXPECT_EQ(blas::bundle_isa_force(blas::BundleIsa::kAvx512), best);
-  // Tier names are stable (bench table keys).
+TEST(IsaProbe, TierNamesAreStable) {
+  // Benchmark records key on these names.
   EXPECT_STREQ(blas::to_string(blas::BundleIsa::kScalar), "scalar");
   EXPECT_STREQ(blas::to_string(blas::BundleIsa::kAvx2), "avx2");
   EXPECT_STREQ(blas::to_string(blas::BundleIsa::kAvx512), "avx512");
-  // Restore auto dispatch for the rest of the suite.
-  EXPECT_EQ(blas::bundle_isa_force(best), best);
-  EXPECT_EQ(blas::bundle_isa_active(), best);
 }
 
 TEST(Trsv, ZeroDiagonalThrows) {

@@ -198,12 +198,20 @@ TEST(LevelSet, ParallelTrisolveMatchesSequentialBitwise) {
   const parallel::UpdateSlotMap umap = parallel::update_slots_columns(l);
   std::vector<value_t> terms(static_cast<std::size_t>(umap.slots()));
   const std::vector<value_t> b = gen::dense_rhs(l.cols(), 4);
-  std::vector<value_t> x_par(b), x_seq(b);
-  parallel::parallel_trisolve(l, s, umap, x_par, terms);
+  std::vector<value_t> x_seq(b);
   solvers::trisolve_naive(l, x_seq);
-  // Level-private accumulation folds each row's updates in the serial
-  // column order: the parallel solve is bit-identical, not merely close.
-  for (index_t i = 0; i < l.cols(); ++i) EXPECT_EQ(x_par[i], x_seq[i]) << i;
+  // The flat sweep (singleton tasks) and the chain-fused schedule both run
+  // through the one interpreter. Level-private accumulation folds each
+  // row's updates in the serial column order: the parallel solve is
+  // bit-identical, not merely close.
+  for (const bool chains : {false, true}) {
+    const parallel::AggregateSchedule agg =
+        parallel::coarsen_schedule_columns(l, s, {.chains = chains});
+    std::vector<value_t> x_par(b);
+    parallel::parallel_trisolve(l, agg, umap, x_par, terms);
+    for (index_t i = 0; i < l.cols(); ++i)
+      EXPECT_EQ(x_par[i], x_seq[i]) << "chains=" << chains << " row " << i;
+  }
 }
 
 TEST(LevelSet, ParallelCholeskyMatchesSequential) {
@@ -217,16 +225,29 @@ TEST(LevelSet, ParallelCholeskyMatchesSequential) {
     const core::CholeskySets sets = core::inspect_cholesky(a, opt);
     const parallel::LevelSchedule sched = parallel::level_schedule_supernodes(
         sets.blocks, sets.sym.parent);
-    std::vector<value_t> panels(
-        static_cast<std::size_t>(sets.layout.total_values()));
-    parallel::parallel_cholesky(sets, sched, a, panels);
-    const CscMatrix l = panels_to_csc(sets.layout, panels);
     solvers::SimplicialCholesky ref(a);
     ref.factorize(a);
-    ASSERT_TRUE(l.same_pattern(ref.factor()));
-    for (index_t p = 0; p < l.nnz(); ++p)
-      ASSERT_NEAR(l.values[p], ref.factor().values[p], 1e-8)
-          << "case " << c << " nz " << p;
+    // Flat sweep (singleton tasks) and chain-fused schedule: one
+    // interpreter, one set of bits.
+    std::vector<value_t> flat_panels;
+    for (const bool chains : {false, true}) {
+      const parallel::AggregateSchedule agg =
+          parallel::coarsen_schedule_supernodes(sets.blocks, sets.sym.parent,
+                                                sets.updates, sched,
+                                                {.chains = chains});
+      std::vector<value_t> panels(
+          static_cast<std::size_t>(sets.layout.total_values()));
+      parallel::parallel_cholesky(sets, agg, a, panels);
+      const CscMatrix l = panels_to_csc(sets.layout, panels);
+      ASSERT_TRUE(l.same_pattern(ref.factor()));
+      for (index_t p = 0; p < l.nnz(); ++p)
+        ASSERT_NEAR(l.values[p], ref.factor().values[p], 1e-8)
+            << "case " << c << " chains=" << chains << " nz " << p;
+      if (!chains)
+        flat_panels = panels;
+      else
+        ASSERT_EQ(panels, flat_panels) << "case " << c;
+    }
   }
 }
 

@@ -126,11 +126,8 @@ CholeskyPlan coarsened_cholesky_plan(const CscMatrix& a) {
   plan.workspace.need_dense = false;
   plan.workspace.update_slots = plan.solve_update_map.slots();
   plan.path = ExecutionPath::ParallelSupernodal;
-  std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-  for (std::size_t u = 0; u < dep_src.size(); ++u)
-    dep_src[u] = plan.sets.updates.refs[u].d;
   plan.agg = parallel::coarsen_schedule_supernodes(
-      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr, dep_src,
+      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates,
       plan.schedule);
   return plan;
 }
@@ -853,6 +850,49 @@ TEST(RestartWarmStart, CorruptedFileTakesRungFiveDiscardReplanRewrite) {
   expect_bits_equal(got, want);  // rung 5 still factors correctly
 
   // ...and rewrote the store: the next restart warm-starts cleanly.
+  store->flush();
+  api::FactorReport rewarmed;
+  const std::vector<value_t> again =
+      restart_factor_solve(a, config, &rewarmed);
+  EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();
+  EXPECT_FALSE(rewarmed.degraded());
+  expect_bits_equal(again, want);
+}
+
+TEST(RestartWarmStart, ParallelPlanWithoutAggregateTakesRungFive) {
+  // A stored parallel plan whose aggregate schedule was emptied is a file
+  // the executors cannot run (they interpret nothing else). It passes the
+  // CRC and parse checks, so load-time re-verification must reject it
+  // ("agg.missing") and the facade must discard, replan and rewrite.
+  TempDir dir;
+  const CscMatrix a = gen::grid2d_laplacian(30, 30);
+  api::SolverConfig config;
+  config.options.vsblock_min_avg_size = 0.0;
+  config.options.vsblock_min_avg_width = 0.0;
+  config.parallel_min_supernodes = 1;
+  config.parallel_min_avg_level_width = 0.0;
+  api::FactorReport plain;
+  const std::vector<value_t> want = restart_factor_solve(a, config, &plain);
+  config.options.plan_store_dir = dir.path;
+
+  auto store = PlanStore::open(dir.path);
+  CholeskyPlan stale = coarsened_cholesky_plan(a);
+  stale.key = Planner(config.planner_config()).cholesky_key(a);
+  ASSERT_TRUE(verify::verify_plan(stale).ok());
+  stale.agg = parallel::AggregateSchedule{};
+  ASSERT_TRUE(store->save(stale).ok());
+
+  api::FactorReport recovered;
+  const std::vector<value_t> got =
+      restart_factor_solve(a, config, &recovered);
+  EXPECT_FALSE(recovered.store_loaded);
+  EXPECT_TRUE(recovered.store_recovered) << recovered.to_string();
+  EXPECT_NE(recovered.last_error.message.find("agg.missing"),
+            std::string::npos)
+      << recovered.last_error.to_string();
+  expect_bits_equal(got, want);
+
+  // The replanned plan was rewritten: the next restart loads it cleanly.
   store->flush();
   api::FactorReport rewarmed;
   const std::vector<value_t> again =

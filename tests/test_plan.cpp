@@ -153,8 +153,9 @@ TEST(ExecutionPlan, SupernodalInterpreterMatchesDirectPathBitwise) {
 
 TEST(ExecutionPlan, ParallelInterpreterMatchesDirectCallBitwise) {
   // The plan-driven parallel_cholesky must reproduce the direct
-  // (sets, schedule) call bit for bit — in every build: without OpenMP
-  // both run the same sequential interpretation.
+  // (sets, aggregate) call bit for bit — in every build: without OpenMP
+  // both run the same sequential interpretation. The singleton-task
+  // ablation (chains off) must give the same bits too.
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
   core::SympilerOptions opt;
   opt.vsblock_min_avg_size = 0.0;
@@ -165,16 +166,28 @@ TEST(ExecutionPlan, ParallelInterpreterMatchesDirectCallBitwise) {
   plan->sets = core::inspect_cholesky(a, opt);
   plan->schedule = parallel::level_schedule_supernodes(plan->sets.blocks,
                                                        plan->sets.sym.parent);
+  plan->agg = parallel::coarsen_schedule_supernodes(
+      plan->sets.blocks, plan->sets.sym.parent, plan->sets.updates,
+      plan->schedule);
   plan->path = ExecutionPath::ParallelSupernodal;
+  const parallel::AggregateSchedule singletons =
+      parallel::coarsen_schedule_supernodes(
+          plan->sets.blocks, plan->sets.sym.parent, plan->sets.updates,
+          plan->schedule, {.chains = false});
+  ASSERT_EQ(singletons.tasks(), plan->sets.blocks.count());
 
   std::vector<value_t> panels_plan(
       static_cast<std::size_t>(plan->sets.layout.total_values()), 0.0);
   std::vector<value_t> panels_direct = panels_plan;
+  std::vector<value_t> panels_flat = panels_plan;
   parallel::parallel_cholesky(*plan, a, panels_plan);
-  parallel::parallel_cholesky(plan->sets, plan->schedule, a, panels_direct);
+  parallel::parallel_cholesky(plan->sets, plan->agg, a, panels_direct);
+  parallel::parallel_cholesky(plan->sets, singletons, a, panels_flat);
   ASSERT_EQ(panels_plan.size(), panels_direct.size());
-  for (std::size_t i = 0; i < panels_plan.size(); ++i)
+  for (std::size_t i = 0; i < panels_plan.size(); ++i) {
     ASSERT_EQ(panels_plan[i], panels_direct[i]) << "panel value " << i;
+    ASSERT_EQ(panels_plan[i], panels_flat[i]) << "panel value " << i;
+  }
 
   // And the result is a correct factorization.
   const CscMatrix l = solvers::panels_to_csc(plan->sets.layout, panels_plan);
@@ -298,18 +311,27 @@ CscMatrix racy_arrowhead_lower(index_t n) {
   return CscMatrix::from_triplets(n, n, trips);
 }
 
-std::shared_ptr<const TriSolvePlan> racy_parallel_plan(const CscMatrix& l,
-                                                       bool coarsen = true) {
+std::shared_ptr<const TriSolvePlan> racy_parallel_plan(const CscMatrix& l) {
   PlannerConfig config;
   config.options.vsblock_min_avg_size = 1e9;  // keep VS-Block out of the way
   config.enable_parallel = true;
   config.parallel_min_supernodes = 1;
   config.parallel_min_avg_level_width = 0.0;
-  config.coarsen_schedule = coarsen;
   std::vector<index_t> beta(static_cast<std::size_t>(l.cols()));
   for (index_t i = 0; i < l.cols(); ++i) beta[static_cast<std::size_t>(i)] = i;
   return std::make_shared<const TriSolvePlan>(
       Planner(config).plan_trisolve(l, beta));
+}
+
+/// The flat ablation of a parallel trisolve plan: the same plan with its
+/// aggregate rebuilt as one singleton task per column (chains off), so the
+/// one interpreter runs the flat level sweep.
+std::shared_ptr<const TriSolvePlan> flat_ablation(const TriSolvePlan& plan,
+                                                  const CscMatrix& l) {
+  auto flat = std::make_shared<TriSolvePlan>(plan);
+  flat->agg = parallel::coarsen_schedule_columns(l, plan.schedule,
+                                                 {.chains = false});
+  return flat;
 }
 
 TEST(ParallelDeterminism, TrisolveBitIdenticalToSerialAtOneTwoFourThreads) {
@@ -431,7 +453,7 @@ TEST(ParallelDeterminism, CholeskyAndBatchSolveStableAcrossThreadCounts) {
   }
 }
 
-// ----------------------- schedule coarsening (chains + SIMD bundles)
+// ---------------------------------------- schedule coarsening (chains)
 
 /// Full-band lower-triangular matrix: column j depends on every one of the
 /// bw previous columns, so the flat level schedule is one column per level
@@ -460,17 +482,15 @@ TEST(ScheduleCoarsening, FullBandChainCollapsesToOneAggregateLevel) {
   ASSERT_FALSE(agg.empty());
   EXPECT_EQ(agg.levels(), 1);
   EXPECT_EQ(agg.tasks(), 1);
-  EXPECT_EQ(agg.bundle[0], 0);
   ASSERT_EQ(static_cast<index_t>(agg.items.size()), n);
   for (index_t k = 0; k < n; ++k)
     ASSERT_EQ(agg.items[static_cast<std::size_t>(k)], k) << k;
   EXPECT_EQ(plan->evidence.agg_levels, 1);
   EXPECT_EQ(plan->evidence.agg_tasks, 1);
-  EXPECT_EQ(plan->evidence.agg_bundles, 0);
 }
 
-TEST(ScheduleCoarsening, ArrowheadBundlesWideLevelAndFusesSharedTail) {
-  const index_t n = 257;  // 255 independent same-shape columns = 31x8 + 7
+TEST(ScheduleCoarsening, ArrowheadKeepsWideLevelAndFusesSharedTail) {
+  const index_t n = 257;
   const CscMatrix l = racy_arrowhead_lower(n);
   const auto plan = racy_parallel_plan(l);
   if (!Planner::parallel_enabled()) return;
@@ -479,49 +499,42 @@ TEST(ScheduleCoarsening, ArrowheadBundlesWideLevelAndFusesSharedTail) {
   ASSERT_EQ(agg.levels(), 2);
   ASSERT_EQ(static_cast<index_t>(agg.items.size()), n);
 
-  // Level 0: the n - 2 independent columns share one sparsity shape
-  // (no incoming terms, two updates), so they coarsen into width-8 SIMD
-  // bundles plus one >= kBundleMin tail bundle — no singletons.
+  // Level 0: the n - 2 independent columns stay one singleton task each —
+  // the wide level the team shares.
   const index_t t1 = agg.level_ptr[1];
+  EXPECT_EQ(t1 - agg.level_ptr[0], n - 2);
   EXPECT_EQ(agg.task_ptr[t1] - agg.task_ptr[agg.level_ptr[0]], n - 2);
-  for (index_t t = agg.level_ptr[0]; t < t1; ++t) {
-    EXPECT_EQ(agg.bundle[static_cast<std::size_t>(t)], 1) << "task " << t;
-    const index_t w = agg.task_ptr[t + 1] - agg.task_ptr[t];
-    EXPECT_GE(w, parallel::kBundleMin) << "task " << t;
-    EXPECT_LE(w, parallel::kBundleMax) << "task " << t;
-  }
-  EXPECT_EQ(agg.bundles(), (n - 2) / parallel::kBundleMax + 1);
 
   // Level 1: the two shared tail columns fuse into one chain — column
   // n-1's only level-1 dependence is n-2, the chain's last member.
   ASSERT_EQ(agg.level_ptr[2] - t1, 1);
-  EXPECT_EQ(agg.bundle[static_cast<std::size_t>(t1)], 0);
   ASSERT_EQ(agg.task_ptr[t1 + 1] - agg.task_ptr[t1], 2);
   EXPECT_EQ(agg.items[static_cast<std::size_t>(agg.task_ptr[t1])], n - 2);
   EXPECT_EQ(agg.items[static_cast<std::size_t>(agg.task_ptr[t1]) + 1], n - 1);
-  EXPECT_EQ(plan->evidence.agg_bundles, agg.bundles());
+  EXPECT_EQ(plan->evidence.agg_tasks, agg.tasks());
 }
 
 TEST(ScheduleCoarsening, CoarsenedTrisolveBitIdenticalToFlatAndSerial) {
-  // The coarsening contract: chains, bundles, and the compacted slot map
-  // change scheduling and data movement only — at 1/2/4 threads both the
-  // coarsened and the flat interpretation must reproduce the serial
-  // solve's exact bits (ASSERT_EQ on doubles, no tolerance).
+  // The coarsening contract: chains and the compacted slot map change
+  // scheduling and data movement only — at 1/2/4 threads both the
+  // chain-fused and the flat (singleton-task) interpretation must
+  // reproduce the serial solve's exact bits (ASSERT_EQ on doubles, no
+  // tolerance).
   std::vector<CscMatrix> factors;
-  factors.push_back(racy_arrowhead_lower(257));   // bundle-heavy
+  factors.push_back(racy_arrowhead_lower(257));   // one wide level
   factors.push_back(banded_full_lower(180, 7));   // chain-heavy
   for (const CscMatrix& l : factors) {
     const index_t n = l.cols();
-    const auto coarse = racy_parallel_plan(l, /*coarsen=*/true);
-    const auto flat = racy_parallel_plan(l, /*coarsen=*/false);
+    const auto coarse = racy_parallel_plan(l);
     if (!Planner::parallel_enabled()) {
       EXPECT_EQ(coarse->path, ExecutionPath::PrunedTriSolve);
       return;
     }
     ASSERT_EQ(coarse->path, ExecutionPath::ParallelTriSolve);
-    ASSERT_EQ(flat->path, ExecutionPath::ParallelTriSolve);
+    const auto flat = flat_ablation(*coarse, l);
     ASSERT_FALSE(coarse->agg.empty());
-    ASSERT_TRUE(flat->agg.empty());  // coarsen_schedule=false keeps it flat
+    ASSERT_EQ(flat->agg.tasks(), n);  // one singleton task per column
+    ASSERT_EQ(flat->agg.levels(), coarse->schedule.levels());
 
     core::TriSolveExecutor serial(coarse, l);
     const std::vector<value_t> b = gen::dense_rhs(n, 91);
@@ -544,7 +557,7 @@ TEST(ScheduleCoarsening, CoarsenedTrisolveBitIdenticalToFlatAndSerial) {
                   x_ref[static_cast<std::size_t>(i)])
             << "flat threads=" << threads << " row " << i;
       }
-      // Batch path: the coarsened multi-RHS interpreter too.
+      // Batch path: the multi-RHS interpreter on both schedules too.
       const index_t nrhs = 3;
       std::vector<value_t> base;
       for (index_t r = 0; r < nrhs; ++r) {
@@ -555,18 +568,22 @@ TEST(ScheduleCoarsening, CoarsenedTrisolveBitIdenticalToFlatAndSerial) {
       for (index_t r = 0; r < nrhs; ++r)
         serial.solve(std::span<value_t>(looped).subspan(
             static_cast<std::size_t>(r) * n, static_cast<std::size_t>(n)));
-      std::vector<value_t> batched = base;
+      std::vector<value_t> batched = base, batched_f = base;
       parallel::parallel_trisolve_batch(l, *coarse, batched, nrhs, ws_c);
-      for (std::size_t t = 0; t < looped.size(); ++t)
+      parallel::parallel_trisolve_batch(l, *flat, batched_f, nrhs, ws_f);
+      for (std::size_t t = 0; t < looped.size(); ++t) {
         ASSERT_EQ(batched[t], looped[t]) << "threads=" << threads;
+        ASSERT_EQ(batched_f[t], looped[t]) << "flat threads=" << threads;
+      }
     }
   }
 }
 
 TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
   // Supernodal chain fusion on the factorization and both panel-solve
-  // sweeps: coarsen on vs off, 1/2/4 threads, all one set of bits. The
-  // banded pattern makes thin levels (chain-heavy), the grid wide ones.
+  // sweeps: the Planner's chain-fused plan vs its singleton-task ablation
+  // (chains off), 1/2/4 threads, all one set of bits. The banded pattern
+  // makes thin levels (chain-heavy), the grid wide ones.
   std::vector<CscMatrix> mats;
   mats.push_back(gen::grid2d_laplacian(40, 40));
   mats.push_back(gen::banded_spd(180, 9, 3));
@@ -576,10 +593,7 @@ TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
     cfg.options.vsblock_min_avg_width = 0.0;
     cfg.parallel_min_supernodes = 1;
     cfg.parallel_min_avg_level_width = 0.0;
-    api::SolverConfig cfg_flat = cfg;
-    cfg_flat.coarsen_schedule = false;
     api::Solver on(cfg, std::make_shared<api::SymbolicContext>());
-    api::Solver off(cfg_flat, std::make_shared<api::SymbolicContext>());
     if (!Planner::parallel_enabled()) return;
 
     const auto n = static_cast<std::size_t>(a.cols());
@@ -592,15 +606,22 @@ TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
     CscMatrix l_ref;
     std::vector<value_t> x_ref;
     bool have_ref = false;
+    core::Workspace ws_off;
     for (const int threads : {1, 2, 4}) {
 #ifdef SYMPILER_HAS_OPENMP
       omp_set_num_threads(threads);
 #endif
       on.factor(a);
-      off.factor(a);
       ASSERT_EQ(on.path(), ExecutionPath::ParallelSupernodal);
       ASSERT_FALSE(on.plan()->agg.empty());
-      ASSERT_TRUE(off.plan()->agg.empty());
+      CholeskyPlan off = *on.plan();
+      off.agg = parallel::coarsen_schedule_supernodes(
+          off.sets.blocks, off.sets.sym.parent, off.sets.updates,
+          off.schedule, {.chains = false});
+      ASSERT_EQ(off.agg.tasks(), off.sets.blocks.count());
+      std::vector<value_t> panels_off(
+          static_cast<std::size_t>(off.sets.layout.total_values()), 0.0);
+      parallel::parallel_cholesky(off, a, panels_off);
       // Compacted supernodal slot map: one entry per below-diagonal panel
       // row, the per-supernode diagonal-block prefixes squeezed out.
       EXPECT_EQ(on.plan()->solve_update_map.slot.size(),
@@ -610,14 +631,17 @@ TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
       EXPECT_LE(on.plan()->agg.levels(), on.plan()->schedule.levels());
       std::vector<value_t> x_on = base, x_off = base;
       on.solve_batch(x_on, nrhs);
-      off.solve_batch(x_off, nrhs);
+      parallel::parallel_panel_solve_batch(off, panels_off, x_off, nrhs,
+                                           ws_off);
       if (!have_ref) {
         l_ref = on.factor_csc();
         x_ref = x_on;
         have_ref = true;
       }
       ASSERT_TRUE(on.factor_csc().equals(l_ref)) << "threads=" << threads;
-      ASSERT_TRUE(off.factor_csc().equals(l_ref)) << "threads=" << threads;
+      ASSERT_TRUE(solvers::panels_to_csc(off.sets.layout, panels_off)
+                      .equals(l_ref))
+          << "threads=" << threads;
       ASSERT_EQ(x_on, x_ref) << "threads=" << threads;
       ASSERT_EQ(x_off, x_ref) << "threads=" << threads;
     }
@@ -627,8 +651,7 @@ TEST(ScheduleCoarsening, CoarsenedCholeskyBitIdenticalToFlatAcrossThreads) {
 TEST(ScheduleCoarsening, PlanBytesCountAggScheduleAndSlotMapIsCompact) {
   const index_t n = 129;
   const CscMatrix l = racy_arrowhead_lower(n);
-  const auto coarse = racy_parallel_plan(l, /*coarsen=*/true);
-  const auto flat = racy_parallel_plan(l, /*coarsen=*/false);
+  const auto coarse = racy_parallel_plan(l);
   if (!Planner::parallel_enabled()) return;
   ASSERT_EQ(coarse->path, ExecutionPath::ParallelTriSolve);
   // The compacted slot map holds exactly one entry per strictly-lower
@@ -637,9 +660,11 @@ TEST(ScheduleCoarsening, PlanBytesCountAggScheduleAndSlotMapIsCompact) {
             l.nnz() - n);
   EXPECT_EQ(coarse->update_map.slots(),
             static_cast<index_t>(coarse->update_map.slot.size()));
-  // bytes() accounts for the aggregate schedule: the two plans differ in
-  // nothing else.
-  EXPECT_EQ(coarse->bytes() - flat->bytes(), coarse->agg.bytes());
+  // bytes() accounts for the aggregate schedule: the plan without it
+  // differs in nothing else.
+  TriSolvePlan stripped = *coarse;
+  stripped.agg = parallel::AggregateSchedule{};
+  EXPECT_EQ(coarse->bytes() - stripped.bytes(), coarse->agg.bytes());
   EXPECT_GT(coarse->agg.bytes(), 0u);
 }
 
@@ -755,11 +780,10 @@ void expect_plans_bit_identical(const CholeskyPlan& fast,
   EXPECT_EQ(fast.solve_update_map.slot, naive.solve_update_map.slot) << label;
   EXPECT_EQ(fast.solve_update_map.row_ptr, naive.solve_update_map.row_ptr)
       << label;
-  // Coarsened aggregate schedule (chains + bundles, task-major order).
+  // Coarsened aggregate schedule (chains, task-major order).
   EXPECT_EQ(fast.agg.level_ptr, naive.agg.level_ptr) << label;
   EXPECT_EQ(fast.agg.task_ptr, naive.agg.task_ptr) << label;
   EXPECT_EQ(fast.agg.items, naive.agg.items) << label;
-  EXPECT_EQ(fast.agg.bundle, naive.agg.bundle) << label;
   // Workspace dims + byte accounting.
   EXPECT_EQ(fast.workspace.n, naive.workspace.n) << label;
   EXPECT_EQ(fast.workspace.max_panel_rows, naive.workspace.max_panel_rows)

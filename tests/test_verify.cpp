@@ -82,10 +82,10 @@ using verify::Report;
 using verify::VerifyOptions;
 
 constexpr Corruption kAllCorruptions[] = {
-    Corruption::kDepViolation,         Corruption::kAliasedSlot,
-    Corruption::kReorderedFold,        Corruption::kCrossDependentBundle,
-    Corruption::kOutOfBoundsIndex,     Corruption::kWorkspaceTrim,
-    Corruption::kScheduleGap,          Corruption::kChainReorder,
+    Corruption::kDepViolation,     Corruption::kAliasedSlot,
+    Corruption::kReorderedFold,    Corruption::kOutOfBoundsIndex,
+    Corruption::kWorkspaceTrim,    Corruption::kScheduleGap,
+    Corruption::kChainReorder,     Corruption::kDroppedAggregate,
 };
 
 /// Allocations performed by fn().
@@ -122,10 +122,11 @@ CholeskyPlan supernodal_plan() {
   return Planner(sequential_config(0.0)).plan_cholesky(a);
 }
 
-/// Manually assembled parallel / coarsened plans: the schedule builders
-/// are pure pattern functions available in every build (with or without
-/// OpenMP), so the kill matrix always exercises the parallel paths.
-CholeskyPlan parallel_cholesky_plan(bool coarsen) {
+/// Manually assembled parallel plans: the schedule builders are pure
+/// pattern functions available in every build (with or without OpenMP),
+/// so the kill matrix always exercises the parallel paths. `chains` off
+/// builds the flat ablation (one singleton task per item).
+CholeskyPlan parallel_cholesky_plan(bool chains) {
   const CscMatrix a = gen::grid2d_laplacian(40, 40);
   core::SympilerOptions opt;
   opt.vsblock_min_avg_size = 0.0;
@@ -141,14 +142,9 @@ CholeskyPlan parallel_cholesky_plan(bool coarsen) {
   plan.workspace.need_dense = false;
   plan.workspace.update_slots = plan.solve_update_map.slots();
   plan.path = ExecutionPath::ParallelSupernodal;
-  if (coarsen) {
-    std::vector<index_t> dep_src(plan.sets.updates.refs.size());
-    for (std::size_t u = 0; u < dep_src.size(); ++u)
-      dep_src[u] = plan.sets.updates.refs[u].d;
-    plan.agg = parallel::coarsen_schedule_supernodes(
-        plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates.ptr,
-        dep_src, plan.schedule);
-  }
+  plan.agg = parallel::coarsen_schedule_supernodes(
+      plan.sets.blocks, plan.sets.sym.parent, plan.sets.updates,
+      plan.schedule, {.chains = chains});
   return plan;
 }
 
@@ -171,7 +167,7 @@ TriSolvePlan blocked_plan(const CscMatrix& l, std::span<const index_t> beta) {
 
 TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
                                     std::span<const index_t> beta,
-                                    bool coarsen) {
+                                    bool chains) {
   core::SympilerOptions opt;
   opt.vsblock_min_avg_size = 1e9;  // column-level solve
   opt.vsblock_min_avg_width = 1e9;
@@ -186,7 +182,8 @@ TriSolvePlan parallel_trisolve_plan(const CscMatrix& l,
   plan.workspace.update_slots = plan.update_map.slots();
   plan.workspace.rhs_block = core::kRhsBlockWidth;
   plan.path = ExecutionPath::ParallelTriSolve;
-  if (coarsen) plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule);
+  plan.agg = parallel::coarsen_schedule_columns(l, plan.schedule,
+                                               {.chains = chains});
   return plan;
 }
 
@@ -240,9 +237,10 @@ TEST(VerifyKillMatrix, CholeskyPathsCatchEveryApplicableCorruption) {
     EXPECT_GE(applicable_here, 4)
         << name << ": corruption classes stopped applying to this path";
   }
-  // The coarsened variant must genuinely coarsen, or the agg cells above
-  // were vacuous.
-  EXPECT_FALSE(variants.back().second.agg.empty());
+  // The coarsened variant must genuinely fuse chains, or the chain cells
+  // above were vacuous.
+  const CholeskyPlan& coarse = variants.back().second;
+  EXPECT_LT(coarse.agg.tasks(), coarse.sets.blocks.count());
   EXPECT_GE(tally.applicable, 16);
   // 100% kill rate: every corruption class that applied was caught.
   EXPECT_EQ(tally.killed, tally.applied);
@@ -287,7 +285,7 @@ TEST(VerifyKillMatrix, TriSolvePathsCatchEveryApplicableCorruption) {
         << variant.name
         << ": corruption classes stopped applying to this path";
   }
-  EXPECT_FALSE(variants.back().plan.agg.empty());
+  EXPECT_LT(variants.back().plan.agg.tasks(), l.cols());
   EXPECT_GE(tally.applicable, 16);
   // 100% kill rate, and across the trisolve paths alone every corruption
   // class in the taxonomy must both apply somewhere and be caught.
@@ -324,6 +322,28 @@ TEST(VerifyKillMatrix, ChainReorderDiagnosedByRacesChainOrder) {
   EXPECT_TRUE(tri_named) << tri_report.to_string();
 }
 
+// A parallel plan whose aggregate schedule is gone has nothing its
+// executors can run (they interpret no other schedule): the dependence
+// pass must name it "agg.missing" on both parallel paths.
+TEST(VerifyKillMatrix, DroppedAggregateDiagnosedByAggMissing) {
+  const auto named = [](const Report& r) {
+    for (const auto& f : r.findings)
+      if (f.check == "agg.missing") return true;
+    return false;
+  };
+  CholeskyPlan chol = parallel_cholesky_plan(true);
+  ASSERT_TRUE(PlanMutator::apply(chol, Corruption::kDroppedAggregate));
+  const Report chol_report = verify::verify_plan(chol);
+  EXPECT_TRUE(named(chol_report)) << chol_report.to_string();
+
+  const CscMatrix l = factor_pattern(gen::grid2d_laplacian(25, 25));
+  const std::vector<index_t> beta = dense_beta(l.cols());
+  TriSolvePlan tri = parallel_trisolve_plan(l, beta, false);
+  ASSERT_TRUE(PlanMutator::apply(tri, l, Corruption::kDroppedAggregate));
+  const Report tri_report = verify::verify_plan(tri, l, beta);
+  EXPECT_TRUE(named(tri_report)) << tri_report.to_string();
+}
+
 // ------------------------------------------------------ clean-pass sweep
 
 std::vector<std::pair<const char*, CscMatrix>> suite() {
@@ -351,7 +371,6 @@ std::vector<std::pair<const char*, PlannerConfig>> sweep_configs() {
     cfg.options.vsblock_min_avg_width = 0.0;
     cfg.parallel_min_supernodes = 1;
     cfg.parallel_min_avg_level_width = 0.0;
-    cfg.coarsen_schedule = true;
     configs.emplace_back("open-gates", cfg);
   }
   {
