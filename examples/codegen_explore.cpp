@@ -1,15 +1,19 @@
-// Code-generation explorer: shows the transformation pipeline of the
-// paper's Figure 2 on a small system — the initial AST, the AST after
-// VI-Prune, the final generated C after the low-level transformations
-// (peeling with literal bounds, Figure 1e) — then JIT-compiles the result
-// and verifies it against the executor.
+// Code-generation explorer: plans one small sparse triangular solve in each
+// of the four shapes the PlanCompiler emits — naive, pruned (the reach-set
+// unrolled into straight-line code with literal indices, paper Figure 1e),
+// VS-Block blocked, and blocked + pruned — prints each translation unit,
+// JIT-compiles it, and checks the compiled kernel against the interpreting
+// TriSolveExecutor on the same plan. Exits non-zero unless every compiled
+// result is bitwise equal to the interpreter's.
 #include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "core/codegen.h"
 #include "core/jit.h"
-#include "core/kernels.h"
-#include "core/passes.h"
+#include "core/plan_compiler.h"
+#include "core/planner.h"
 #include "core/trisolve_executor.h"
 #include "gen/generators.h"
 #include "solvers/simplicial.h"
@@ -28,30 +32,61 @@ int main() {
   for (index_t i = 0; i < l.cols(); ++i)
     if (b[i] != 0.0) beta.push_back(i);
 
-  std::printf("=== initial AST (Figure 2a) ===\n%s\n",
-              core::to_c(core::build_trisolve_ast()).c_str());
+  struct Shape {
+    const char* name;
+    bool vi_prune;
+    bool vs_block;
+  };
+  const Shape shapes[] = {{"naive", false, false},
+                          {"pruned (Figure 1e)", true, false},
+                          {"blocked", false, true},
+                          {"blocked + pruned", true, true}};
 
-  const core::StmtPtr pruned = core::apply_vi_prune(
-      core::build_trisolve_ast(), "pruneSet", "pruneSetSize");
-  std::printf("=== after VI-Prune (Figure 2b) ===\n%s\n",
-              core::to_c(pruned).c_str());
+  const bool jit = core::JitModule::compiler_available();
+  int mismatches = 0;
+  for (const Shape& shape : shapes) {
+    core::PlannerConfig config;
+    config.enable_parallel = false;
+    config.options.vi_prune = shape.vi_prune;
+    config.options.vs_block = shape.vs_block;
+    config.options.vsblock_min_avg_size = 0.0;  // VS-Block on when asked
+    config.options.vsblock_min_avg_width = 0.0;
+    const auto plan = std::make_shared<const core::TriSolvePlan>(
+        core::Planner(config).plan_trisolve(l, beta));
 
-  core::SympilerOptions opt;
-  opt.vs_block = false;  // keep the example in Figure 1e form
-  const core::GeneratedKernel kernel = core::generate_trisolve(l, beta, opt);
-  std::printf("=== generated C (Figure 1e / 2c) ===\n%s\n",
-              kernel.source.c_str());
+    const std::string source = core::PlanCompiler::emit(*plan, l);
+    std::printf("=== %s: %s plan, %zu bytes of C ===\n%s\n", shape.name,
+                core::to_string(plan->path), source.size(), source.c_str());
+    if (shape.vs_block !=
+        (plan->path == core::ExecutionPath::BlockedTriSolve)) {
+      std::printf("%s: planned the wrong shape\n", shape.name);
+      ++mismatches;
+    }
+    if (!jit) continue;
 
-  if (core::JitModule::compiler_available()) {
-    const core::JitModule mod =
-        core::JitModule::compile(kernel.source, kernel.symbol);
-    std::vector<value_t> x(b);
-    mod.entry<core::TriSolveFn>()(l.colptr.data(), l.rowind.data(),
-                                  l.values.data(), x.data());
-    std::printf("JIT compiled in %.0f ms; ||Lx-b||_inf = %.3e\n",
-                mod.compile_seconds() * 1e3, residual_inf_norm(l, x, b));
-  } else {
-    std::printf("(host compiler unavailable: JIT step skipped)\n");
+    // Interpret first; the executor adopts the kernel once it is published.
+    const core::TriSolveExecutor exec(plan, l);
+    std::vector<value_t> x_interp(b);
+    exec.solve(x_interp);
+    const auto kernel = core::PlanCompiler::compile(*plan, l);
+    if (kernel == nullptr) {
+      std::printf("%s: compile failed: %s\n", shape.name,
+                  plan->jit->failure().c_str());
+      ++mismatches;
+      continue;
+    }
+    std::vector<value_t> x_jit(b);
+    exec.solve(x_jit);
+    const bool same = std::memcmp(x_jit.data(), x_interp.data(),
+                                  x_jit.size() * sizeof(value_t)) == 0;
+    mismatches += same ? 0 : 1;
+    std::printf(
+        "%s: JIT compiled in %.0f ms; ||Lx-b||_inf = %.3e; %s the "
+        "interpreter\n\n",
+        shape.name, kernel->compile_seconds * 1e3,
+        residual_inf_norm(l, x_jit, b),
+        same ? "bitwise equal to" : "DIFFERS from");
   }
-  return 0;
+  if (!jit) std::printf("(host compiler unavailable: JIT step skipped)\n");
+  return mismatches == 0 ? 0 : 1;
 }

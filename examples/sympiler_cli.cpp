@@ -1,8 +1,8 @@
 // Command-line driver: run the full Sympiler pipeline on a Matrix Market
 // file (e.g. an original SuiteSparse Table-2 matrix) or a named suite
 // problem, and report the inspection summary, factorization performance
-// vs the library baselines, and optionally the generated C code or the
-// execution plan the facade would cache.
+// vs the library baselines, and optionally the plan-compiled C code or
+// the execution plan the facade would cache.
 //
 // Usage:
 //   sympiler_cli --mtx path/to/matrix.mtx [--dump-code] [--explain] [--verify]
@@ -18,8 +18,8 @@
 
 #include "api/solver.h"
 #include "core/cholesky_executor.h"
-#include "core/codegen.h"
 #include "core/inspector.h"
+#include "core/plan_compiler.h"
 #include "core/plan_store.h"
 #include "core/trisolve_executor.h"
 #include "core/workspace.h"
@@ -393,10 +393,11 @@ int main(int argc, char** argv) {
                 residual_inf_norm_symmetric_lower(a, x, b));
 
     if (dump_code) {
-      const core::GeneratedKernel k = core::generate_cholesky(chol.sets(), opt);
-      std::printf("=== generated C (%zu bytes) ===\n%s\n", k.source.size(),
-                  k.source.size() < 16384
-                      ? k.source.c_str()
+      // The translation unit the JIT compiles for this plan.
+      const std::string source = core::PlanCompiler::emit(chol.plan());
+      std::printf("=== plan-compiled C (%zu bytes) ===\n%s\n", source.size(),
+                  source.size() < 16384
+                      ? source.c_str()
                       : "(too large to print; use a smaller matrix)");
     }
   } catch (const std::exception& e) {

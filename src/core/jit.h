@@ -48,8 +48,4 @@ class JitModule {
   double compile_seconds_ = 0.0;
 };
 
-using TriSolveFn = void (*)(const int*, const int*, const double*, double*);
-using CholeskyFn = int (*)(const int*, const int*, const double*, double*,
-                           double*, int*);
-
 }  // namespace sympiler::core
